@@ -6,10 +6,10 @@
 //! dwarf SAFE's path-bounded search.
 
 use safe_bench::{
-    bench_pipeline_path, cache_rows, engineer_split, fmt_secs, pipeline_json, pipeline_rows,
-    resilience_rows, selection_row, timed_safe_fit, traced_checkpointed_report,
-    traced_safe_cache_report, traced_safe_report, traced_selection_fit, CacheRow, Flags, Method,
-    ParallelRow, PipelineRow, ResilienceRow, SelectionRow, TablePrinter,
+    bench_pipeline_path, engineer_split, fmt_secs, pipeline_json, pipeline_rows, resilience_rows,
+    selection_row, timed_safe_fit, traced_checkpointed_report, traced_safe_report,
+    traced_selection_fit, Flags, Method, ParallelRow, PipelineRow, ResilienceRow, SelectionRow,
+    TablePrinter,
 };
 use safe_core::SelectionMode;
 use safe_datagen::benchmarks::{generate_benchmark_scaled, BenchmarkId};
@@ -121,13 +121,14 @@ fn main() {
         }
     }
 
-    // Cold-vs-warm cache sweep: the same multi-iteration SAFE fit with the
-    // cross-iteration cache off, then on. The outcome is bit-identical
-    // (tests/cache_differential.rs); the rows show how many columns each
-    // iteration re-binned and what the booster stages cost. Rows land in
-    // the `cache` section of BENCH_pipeline.json.
-    let cache_iters: usize = flags.get_or("cache-iterations", 3);
-    let cache_data = generate(&SyntheticConfig {
+    // Resilience sweep: a multi-iteration fit with durable checkpoints on,
+    // measuring what each post-iteration snapshot costs (serialize + write
+    // + fsync + rename) against the iteration's wall time. Checkpoint
+    // telemetry is sink-only, so the rows come from the raw event stream;
+    // they land in the `resilience` section of BENCH_pipeline.json under
+    // the `synth-cache` dataset key the committed rows already use.
+    let ckpt_iters: usize = flags.get_or("resilience-iterations", 3);
+    let ckpt_data = generate(&SyntheticConfig {
         n_rows: (sweep_rows / 2).max(500),
         dim: 10,
         n_signal: 5,
@@ -136,37 +137,14 @@ fn main() {
         seed,
         ..Default::default()
     });
-    println!("\nCache sweep on synth-cache ({cache_iters} iterations, cold vs warm):");
-    let mut cache_sweep: Vec<CacheRow> = Vec::new();
-    let cold = traced_safe_cache_report(&cache_data, seed, cache_iters, false);
-    let warm = traced_safe_cache_report(&cache_data, seed, cache_iters, true);
-    match (cold, warm) {
-        (Ok(cold), Ok(warm)) => {
-            cache_sweep = cache_rows("synth-cache", &warm, &cold);
-            for r in &cache_sweep {
-                println!(
-                    "  iteration {}: rebinned {} cold vs {} warm ({}us cold vs {}us warm)",
-                    r.iteration, r.cold_rebinned, r.warm_rebinned, r.cold_micros, r.warm_micros
-                );
-            }
-        }
-        (Err(err), _) | (_, Err(err)) => eprintln!("  cache sweep failed: {err}"),
-    }
-
-    // Resilience sweep: the same multi-iteration fit with durable
-    // checkpoints on, measuring what each post-iteration snapshot costs
-    // (serialize + write + fsync + rename) against the iteration's wall
-    // time. Checkpoint telemetry is sink-only, so the rows come from the
-    // raw event stream; they land in the `resilience` section of
-    // BENCH_pipeline.json.
-    println!("\nResilience sweep on synth-cache ({cache_iters} iterations, checkpoint on):");
+    println!("\nResilience sweep on synth-cache ({ckpt_iters} iterations, checkpoint on):");
     let mut resilience_sweep: Vec<ResilienceRow> = Vec::new();
     let ckpt_dir = std::env::temp_dir().join(format!("safe_bench_ckpt_{}", std::process::id()));
     std::fs::remove_dir_all(&ckpt_dir).ok();
     if let Err(e) = std::fs::create_dir_all(&ckpt_dir) {
         eprintln!("  could not create checkpoint dir: {e}");
     } else {
-        match traced_checkpointed_report(&cache_data, seed, cache_iters, &ckpt_dir) {
+        match traced_checkpointed_report(&ckpt_data, seed, ckpt_iters, &ckpt_dir) {
             Ok((report, events)) => {
                 resilience_sweep = resilience_rows("synth-cache", &events, &report);
                 for r in &resilience_sweep {
@@ -247,16 +225,15 @@ fn main() {
         .get("pipeline-out")
         .map(str::to_string)
         .unwrap_or_else(bench_pipeline_path);
-    // This binary owns `stages`, `parallel`, `cache`, `resilience`, and
-    // `selection`; carry any existing `serving` rows (written by
-    // serving_throughput) and unknown future sections through untouched.
+    // This binary owns `stages`, `parallel`, `resilience`, and `selection`;
+    // carry any existing `serving` rows (written by serving_throughput) and
+    // unknown future sections through untouched.
     let existing = safe_bench::read_pipeline_document(&out_path);
     match std::fs::write(
         &out_path,
         pipeline_json(&safe_bench::PipelineDocument {
             stages: bench_rows.clone(),
             parallel: parallel_rows,
-            cache: cache_sweep,
             resilience: resilience_sweep,
             selection: selection_sweep,
             ..existing

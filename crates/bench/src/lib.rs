@@ -350,90 +350,6 @@ pub fn timed_safe_fit(data: &Dataset, seed: u64, threads: usize) -> Result<f64, 
     Ok(start.elapsed().as_secs_f64())
 }
 
-/// One row of the `cache` section of `BENCH_pipeline.json`: one SAFE
-/// iteration's binning work with the cross-iteration cache on (`warm`)
-/// versus off (`cold`), on the sweep dataset.
-///
-/// `cold_rebinned` is the number of columns the booster stages quantize
-/// from scratch without a cache; `warm_rebinned` is how many the cached run
-/// actually re-binned (its misses). From the second iteration on the warm
-/// count is strictly below the cold one: survivors of the previous
-/// selection are cache hits.
-#[derive(Debug, Clone)]
-pub struct CacheRow {
-    /// Sweep dataset name.
-    pub dataset: String,
-    /// SAFE iteration index.
-    pub iteration: usize,
-    /// Wall micros of the booster stages (miner + ranker) in the cold run.
-    pub cold_micros: u64,
-    /// Wall micros of the same stages in the warm run.
-    pub warm_micros: u64,
-    /// Columns a cache-less run quantizes in those stages (hits + misses).
-    pub cold_rebinned: u64,
-    /// Columns the cached run re-binned (misses only).
-    pub warm_rebinned: u64,
-}
-
-/// Build `cache` rows from a warm (cached) and a cold (`cache: false`) run
-/// report of the same fit. For each iteration, every stage that recorded
-/// bin-cache telemetry contributes its hit/miss split and wall time; the
-/// cold run contributes the matching stage's wall time. The two runs are
-/// bit-identical in outcome (`tests/cache_differential.rs`), so the rows
-/// compare like against like.
-pub fn cache_rows(
-    dataset: &str,
-    warm: &safe_obs::RunReport,
-    cold: &safe_obs::RunReport,
-) -> Vec<CacheRow> {
-    warm.iterations
-        .iter()
-        .zip(&cold.iterations)
-        .map(|(w, c)| {
-            let mut row = CacheRow {
-                dataset: dataset.to_string(),
-                iteration: w.iteration,
-                cold_micros: 0,
-                warm_micros: 0,
-                cold_rebinned: 0,
-                warm_rebinned: 0,
-            };
-            for ws in &w.stages {
-                let (Some(hits), Some(misses)) =
-                    (ws.counter("cache_bin_hits"), ws.counter("cache_bin_misses"))
-                else {
-                    continue;
-                };
-                row.cold_rebinned += hits + misses;
-                row.warm_rebinned += misses;
-                row.warm_micros += ws.micros;
-                row.cold_micros += c.stage(&ws.stage).map_or(0, |cs| cs.micros);
-            }
-            row
-        })
-        .collect()
-}
-
-/// Fit SAFE on a dataset with telemetry engaged and the cross-iteration
-/// cache toggled, returning the run report (the toggle never alters the fit
-/// outcome, only how repeated binning/stats work is resolved).
-pub fn traced_safe_cache_report(
-    data: &Dataset,
-    seed: u64,
-    n_iterations: usize,
-    cache: bool,
-) -> Result<safe_obs::RunReport, String> {
-    let config = SafeConfig::builder()
-        .seed(seed)
-        .n_iterations(n_iterations)
-        .cache(cache)
-        .build()?;
-    Safe::new(config)
-        .fit(data, None)
-        .map(|outcome| outcome.report)
-        .map_err(|e| e.to_string())
-}
-
 /// One row of the `resilience` section of `BENCH_pipeline.json`: what the
 /// durable checkpoint write after one SAFE iteration cost, against that
 /// iteration's total wall time. Checkpoint telemetry is sink-only (it never
@@ -720,9 +636,8 @@ pub const PIPELINE_SCHEMA_VERSION: u64 = 2;
 
 /// Serialize the `BENCH_pipeline.json` document: an object holding the
 /// schema version, the per-stage rows (`stages`), the thread-sweep rows
-/// (`parallel`), the scoring-throughput rows (`serving`), the cold-vs-warm
-/// cache sweep rows (`cache`), the checkpoint-overhead rows
-/// (`resilience`), the selection-mode sweep rows (`selection`), and —
+/// (`parallel`), the scoring-throughput rows (`serving`), the
+/// checkpoint-overhead rows (`resilience`), the selection-mode sweep rows (`selection`), and —
 /// verbatim — any sections a future harness wrote that this build doesn't
 /// know ([`PipelineDocument::extra`]).
 ///
@@ -730,8 +645,7 @@ pub const PIPELINE_SCHEMA_VERSION: u64 = 2;
 /// `{"schema_version": 2, "stages": [{dataset, iteration, stage, millis,
 /// features_in, features_out}], "parallel": [{dataset, threads, secs,
 /// speedup_vs_serial}], "serving": [{dataset, method, rows, threads,
-/// batch_size, secs, rows_per_sec, speedup_vs_naive}], "cache": [{dataset,
-/// iteration, cold_micros, warm_micros, cold_rebinned, warm_rebinned}],
+/// batch_size, secs, rows_per_sec, speedup_vs_naive}],
 /// "serving_daemon": [{dataset, workers, max_batch, requests, secs,
 /// rows_per_sec, queue_p50_us, queue_p99_us, request_p50_us,
 /// request_p99_us}], "resilience": [{dataset, iteration, ckpt_bytes,
@@ -742,7 +656,7 @@ pub const PIPELINE_SCHEMA_VERSION: u64 = 2;
 /// peak_resident_bytes, chunk_hits, chunk_loads, evictions, secs, auc}]}`
 ///
 /// The writers ([`table5_execution_time`][t5] owns `stages`/`parallel`/
-/// `cache`/`resilience`/`selection`, `serving_throughput` owns `serving`,
+/// `resilience`/`selection`, `serving_throughput` owns `serving`,
 /// `oocore_spill` owns `oocore`, `safe-cli bench-serve` owns
 /// `serving_daemon`)
 /// each re-read
@@ -757,7 +671,6 @@ pub fn pipeline_json(doc: &PipelineDocument) -> String {
         parallel,
         serving,
         serving_daemon,
-        cache,
         resilience,
         selection,
         oocore,
@@ -830,22 +743,6 @@ pub fn pipeline_json(doc: &PipelineDocument) -> String {
             r.request_p99_us,
         ));
         if i + 1 < serving_daemon.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("],\n\"cache\": [\n");
-    for (i, r) in cache.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"dataset\":{},\"iteration\":{},\"cold_micros\":{},\"warm_micros\":{},\"cold_rebinned\":{},\"warm_rebinned\":{}}}",
-            safe_obs::json::escape(&r.dataset),
-            r.iteration,
-            r.cold_micros,
-            r.warm_micros,
-            r.cold_rebinned,
-            r.warm_rebinned,
-        ));
-        if i + 1 < cache.len() {
             out.push(',');
         }
         out.push('\n');
@@ -934,8 +831,6 @@ pub struct PipelineDocument {
     pub serving: Vec<ServingRow>,
     /// Long-lived scoring daemon sweep rows (`safe-cli bench-serve`).
     pub serving_daemon: Vec<ServingDaemonRow>,
-    /// Cold-vs-warm cross-iteration cache sweep rows.
-    pub cache: Vec<CacheRow>,
     /// Per-iteration checkpoint write overhead rows.
     pub resilience: Vec<ResilienceRow>,
     /// Exact-vs-staged selection-mode sweep rows.
@@ -1019,19 +914,6 @@ pub fn read_pipeline_document(path: &str) -> PipelineDocument {
             })
         })
         .collect();
-    let cache = rows_of("cache")
-        .iter()
-        .filter_map(|r| {
-            Some(CacheRow {
-                dataset: r.get("dataset")?.as_str()?.to_string(),
-                iteration: r.get("iteration")?.as_u64()? as usize,
-                cold_micros: r.get("cold_micros")?.as_u64()?,
-                warm_micros: r.get("warm_micros")?.as_u64()?,
-                cold_rebinned: r.get("cold_rebinned")?.as_u64()?,
-                warm_rebinned: r.get("warm_rebinned")?.as_u64()?,
-            })
-        })
-        .collect();
     let resilience = rows_of("resilience")
         .iter()
         .filter_map(|r| {
@@ -1082,13 +964,12 @@ pub fn read_pipeline_document(path: &str) -> PipelineDocument {
         })
         .collect();
     let schema_version = v.get("schema_version").and_then(|s| s.as_u64()).unwrap_or(0);
-    const KNOWN: [&str; 9] = [
+    const KNOWN: [&str; 8] = [
         "schema_version",
         "stages",
         "parallel",
         "serving",
         "serving_daemon",
-        "cache",
         "resilience",
         "selection",
         "oocore",
@@ -1109,7 +990,6 @@ pub fn read_pipeline_document(path: &str) -> PipelineDocument {
         parallel,
         serving,
         serving_daemon,
-        cache,
         resilience,
         selection,
         oocore,
@@ -1200,14 +1080,6 @@ mod tests {
             rows_per_sec: 200_000.0,
             speedup_vs_naive: 2.5,
         }];
-        let cache = vec![CacheRow {
-            dataset: "synth-cache".into(),
-            iteration: 1,
-            cold_micros: 900,
-            warm_micros: 400,
-            cold_rebinned: 40,
-            warm_rebinned: 12,
-        }];
         let resilience = vec![ResilienceRow {
             dataset: "synth-ckpt".into(),
             iteration: 0,
@@ -1244,7 +1116,6 @@ mod tests {
             parallel,
             serving,
             serving_daemon,
-            cache,
             resilience,
             selection,
             ..Default::default()
@@ -1264,9 +1135,6 @@ mod tests {
         let sv = v.get("serving").unwrap().as_array().unwrap();
         assert_eq!(sv[0].get("method").unwrap().as_str(), Some("batch-scorer"));
         assert_eq!(sv[0].get("rows").unwrap().as_u64(), Some(100_000));
-        let cc = v.get("cache").unwrap().as_array().unwrap();
-        assert_eq!(cc[0].get("cold_rebinned").unwrap().as_u64(), Some(40));
-        assert_eq!(cc[0].get("warm_rebinned").unwrap().as_u64(), Some(12));
         let rs = v.get("resilience").unwrap().as_array().unwrap();
         assert_eq!(rs[0].get("ckpt_bytes").unwrap().as_u64(), Some(2_048));
         assert_eq!(rs[0].get("overhead_pct").unwrap().as_f64(), Some(0.5));
@@ -1293,7 +1161,6 @@ mod tests {
         // Missing file: all sections empty, no error.
         let empty = read_pipeline_document(path_s);
         assert!(empty.stages.is_empty() && empty.parallel.is_empty() && empty.serving.is_empty());
-        assert!(empty.cache.is_empty());
 
         // Simulate the serving benchmark writing first — and a *future*
         // harness having added a section this build doesn't know.
@@ -1322,14 +1189,6 @@ mod tests {
         assert_eq!(doc.extra[0].0, "gpu_sweep");
         let parallel =
             vec![ParallelRow { dataset: "m".into(), threads: 2, secs: 1.0, speedup_vs_serial: 1.5 }];
-        let cache = vec![CacheRow {
-            dataset: "m".into(),
-            iteration: 0,
-            cold_micros: 10,
-            warm_micros: 10,
-            cold_rebinned: 8,
-            warm_rebinned: 8,
-        }];
         let resilience = vec![ResilienceRow {
             dataset: "m".into(),
             iteration: 0,
@@ -1351,7 +1210,7 @@ mod tests {
         }];
         std::fs::write(
             &path,
-            pipeline_json(&PipelineDocument { parallel, cache, resilience, selection, ..doc }),
+            pipeline_json(&PipelineDocument { parallel, resilience, selection, ..doc }),
         )
         .unwrap();
 
@@ -1363,8 +1222,6 @@ mod tests {
         assert_eq!(back.serving[0].rows, 5);
         assert_eq!(back.parallel.len(), 1);
         assert_eq!(back.parallel[0].threads, 2);
-        assert_eq!(back.cache.len(), 1);
-        assert_eq!(back.cache[0].cold_rebinned, 8);
         assert_eq!(back.resilience.len(), 1);
         assert_eq!(back.resilience[0].ckpt_bytes, 512);
         assert_eq!(back.selection.len(), 1);
@@ -1381,23 +1238,6 @@ mod tests {
         let garbled = read_pipeline_document(path_s);
         assert!(garbled.serving.is_empty());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn cache_sweep_reports_warm_reuse() {
-        let split = generate_benchmark_scaled(BenchmarkId::Banknote, 0.15, 3);
-        let cold = traced_safe_cache_report(&split.train, 3, 2, false).unwrap();
-        let warm = traced_safe_cache_report(&split.train, 3, 2, true).unwrap();
-        let rows = cache_rows("banknote", &warm, &cold);
-        assert_eq!(rows.len(), 2);
-        // Iteration 0 has no history to reuse; by iteration 1 the miner
-        // retrains on already-binned survivors, so the warm run re-bins
-        // strictly fewer columns than the cold run quantizes.
-        assert!(
-            rows[1].warm_rebinned < rows[1].cold_rebinned,
-            "iteration 1 must reuse cached columns: {:?}",
-            rows[1]
-        );
     }
 
     #[test]

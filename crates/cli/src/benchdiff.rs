@@ -11,7 +11,6 @@
 //! | `parallel`   | dataset, threads                         | `secs`        |
 //! | `serving`    | dataset, method, threads, batch_size     | `secs`        |
 //! | `serving_daemon` | dataset, workers, max_batch          | `secs`        |
-//! | `cache`      | dataset, iteration                       | `warm_micros` |
 //! | `resilience` | dataset, iteration                      | `ckpt_micros` |
 //! | `selection`  | dataset, mode                            | `combined_millis` |
 //!
@@ -37,7 +36,7 @@ pub struct DiffRow {
     pub section: &'static str,
     /// Rendered row key, e.g. `dataset=toy iteration=0 stage=gbm-train`.
     pub key: String,
-    /// Metric field name (`millis`, `secs`, `warm_micros`, `ckpt_micros`).
+    /// Metric field name (`millis`, `secs`, `ckpt_micros`, ...).
     pub metric: &'static str,
     /// Value in the old (baseline) document.
     pub old: f64,
@@ -105,12 +104,6 @@ const SECTIONS: &[SectionSpec] = &[
         key_fields: &["dataset", "workers", "max_batch"],
         metric: "secs",
         noise_floor: 0.05,
-    },
-    SectionSpec {
-        section: "cache",
-        key_fields: &["dataset", "iteration"],
-        metric: "warm_micros",
-        noise_floor: 5_000.0,
     },
     SectionSpec {
         section: "resilience",

@@ -10,8 +10,9 @@
 //! - the seed position (the per-iteration RNG seed is a pure function of
 //!   `config.seed` and the iteration index, so the index *is* the RNG
 //!   position),
-//! - cache provenance ([`BinCache`] keys and [`StatsCache`] entry counts —
-//!   metadata only; cached values are rebuilt bit-identically from data),
+//! - cache provenance ([`crate::cache::BinCache`] keys and
+//!   [`crate::cache::StatsCache`] entry counts — metadata only; cached
+//!   values are rebuilt bit-identically from data),
 //! - the [`RunReport`] accumulated so far.
 //!
 //! ## Durability protocol
@@ -114,9 +115,6 @@ pub struct ConfigFingerprint {
     /// Selection mode (exact vs staged successive halving). Result-
     /// determining: the modes keep different feature sets.
     pub selection: SelectionMode,
-    /// Whether the cross-iteration caches were on (results are identical
-    /// either way; recorded for provenance, not compared).
-    pub cache: bool,
 }
 
 impl ConfigFingerprint {
@@ -132,12 +130,10 @@ impl ConfigFingerprint {
             n_iterations: config.n_iterations,
             strategy: config.strategy,
             selection: config.selection,
-            cache: config.cache,
         }
     }
 
-    /// Bit-exact equality over the result-determining fields (`cache` is
-    /// excluded: cached and cold runs are bit-identical by construction).
+    /// Bit-exact equality over the result-determining fields.
     pub fn matches(&self, other: &ConfigFingerprint) -> bool {
         self.seed == other.seed
             && self.gamma == other.gamma
@@ -332,7 +328,6 @@ impl Checkpoint {
         let _ = writeln!(out, "CONFIG\tn_iterations\t{}", f.n_iterations);
         let _ = writeln!(out, "CONFIG\tstrategy\t{}", strategy_str(f.strategy));
         let _ = writeln!(out, "CONFIG\tselection\t{}", selection_str(f.selection));
-        let _ = writeln!(out, "CONFIG\tcache\t{}", u8::from(f.cache));
         let _ = writeln!(out, "STATE\titerations_done\t{}", self.iterations_done);
         let _ = writeln!(out, "STATE\tterminal\t{}", self.terminal.as_str());
         let _ = writeln!(out, "STATE\telapsed_us\t{}", self.elapsed_us);
@@ -426,7 +421,6 @@ impl Checkpoint {
         // Line numbers are offset by the 2 header lines for error messages.
         let err = |line: usize, message: String| CkptError::Parse { line: line + 3, message };
 
-        let mut fingerprint: Option<ConfigFingerprint> = None;
         let mut cfg: Vec<(String, String)> = Vec::new();
         let mut iterations_done: Option<usize> = None;
         let mut terminal: Option<Terminal> = None;
@@ -577,18 +571,14 @@ impl Checkpoint {
                 }
                 other => return Err(err(i, format!("unrecognized record '{other}'"))),
             }
-            // Assemble the fingerprint once all CONFIG records are in; the
-            // writer emits exactly ten, in a fixed order, but lookup by key
-            // keeps the format order-insensitive.
-            if fields[0] == "CONFIG" && cfg.len() == 10 && fingerprint.is_none() {
-                fingerprint = Some(parse_fingerprint(&cfg).map_err(|m| err(i, m))?);
-            }
         }
         if let Some((_, start, _)) = section {
             return Err(err(start, "unterminated section".into()));
         }
-        let fingerprint =
-            fingerprint.ok_or_else(|| err(0, "incomplete CONFIG records".into()))?;
+        // Lookup by key keeps the CONFIG records order-insensitive, and
+        // skips keys this version no longer writes (`cache`, from before
+        // the caches were always on), so older checkpoints still resume.
+        let fingerprint = parse_fingerprint(&cfg).map_err(|m| err(0, m))?;
         let iterations_done =
             iterations_done.ok_or_else(|| err(0, "missing STATE iterations_done".into()))?;
         let terminal = terminal.ok_or_else(|| err(0, "missing STATE terminal".into()))?;
@@ -650,7 +640,6 @@ fn parse_fingerprint(cfg: &[(String, String)]) -> Result<ConfigFingerprint, Stri
             .ok_or_else(|| "bad CONFIG strategy".to_string())?,
         selection: selection_parse(get("selection")?)
             .ok_or_else(|| "bad CONFIG selection".to_string())?,
-        cache: get("cache")? == "1",
     })
 }
 
@@ -990,10 +979,21 @@ mod tests {
         let mut other = base.clone();
         other.alpha += 0.01;
         assert!(!base.matches(&other));
-        // `cache` is excluded: cached and cold runs are bit-identical.
-        let mut other = base.clone();
-        other.cache = !other.cache;
-        assert!(base.matches(&other));
+    }
+
+    #[test]
+    fn a_checkpoint_with_the_retired_cache_record_still_loads() {
+        // Checkpoints written while the caches could be switched off carry
+        // a `CONFIG cache` record; the decoder accepts and ignores it.
+        let ckpt = sample_checkpoint();
+        let text = ckpt.to_text();
+        let body = text.splitn(3, '\n').nth(2).unwrap();
+        let old_body = body.replacen("STATE\t", "CONFIG\tcache\t1\nSTATE\t", 1);
+        let old = format!(
+            "SAFECKPT\t1\nCHECKSUM\t{:016x}\n{old_body}",
+            fnv1a64(old_body.as_bytes())
+        );
+        assert_ckpt_eq(&Checkpoint::from_text(&old).unwrap(), &ckpt);
     }
 
     fn temp_store(name: &str) -> CheckpointStore {

@@ -21,7 +21,7 @@ pub struct Combination {
     pub features: Vec<usize>,
     /// Split values per feature (aligned with `features`).
     pub split_values: Vec<Vec<f64>>,
-    /// Information gain ratio, filled by [`rank_combinations`].
+    /// Information gain ratio, filled by [`rank_combinations_observed`].
     pub gain_ratio: f64,
 }
 
@@ -101,20 +101,8 @@ pub struct RankStats {
 }
 
 /// Algorithm 2: score each combination by the information gain ratio of the
-/// partition its split values induce, and keep the top γ.
-pub fn rank_combinations(
-    combos: Vec<Combination>,
-    train: &Dataset,
-    gamma: usize,
-) -> Vec<Combination> {
-    match rank_combinations_observed(combos, train, gamma, Parallelism::auto()) {
-        Ok((combos, _)) => combos,
-        Err(p) => panic!("{p}"),
-    }
-}
-
-/// [`rank_combinations`] with an explicit thread budget, additionally
-/// reporting scoring telemetry. Worker panics surface as [`ParPanic`].
+/// partition its split values induce, and keep the top γ. Also reports
+/// scoring telemetry. Worker panics surface as [`ParPanic`].
 ///
 /// A combination of q features with value sets `V_1..V_q` splits the records
 /// into `∏ (|V_i| + 1)` cells; the gain ratio of that partition against the
@@ -276,7 +264,9 @@ mod tests {
         let ds = xor_like_dataset(800);
         let model = Gbm::new(GbmConfig::miner()).fit(&ds, None).unwrap();
         let combos = mine_combinations(&model, 2);
-        let ranked = rank_combinations(combos, &ds, 5);
+        let ranked = rank_combinations_observed(combos, &ds, 5, Parallelism::auto())
+            .unwrap()
+            .0;
         assert!(!ranked.is_empty());
         // The top combination must be the {a, b} pair — only jointly do the
         // two features explain an XOR label.
@@ -294,7 +284,9 @@ mod tests {
         let model = Gbm::new(GbmConfig::miner()).fit(&ds, None).unwrap();
         let combos = mine_combinations(&model, 2);
         let total = combos.len();
-        let ranked = rank_combinations(combos, &ds, 2);
+        let ranked = rank_combinations_observed(combos, &ds, 2, Parallelism::auto())
+            .unwrap()
+            .0;
         assert!(ranked.len() <= 2);
         assert!(total >= ranked.len());
     }

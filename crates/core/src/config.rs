@@ -86,7 +86,7 @@ pub struct SafeConfig {
     pub selection: SelectionMode,
     /// Seed for the randomized strategies and subsampling.
     pub seed: u64,
-    /// Pre-fit data audit policy (see [`safe_data::audit`]). The default
+    /// Pre-fit data audit policy (see [`safe_data::audit`](mod@safe_data::audit)). The default
     /// warns on degenerate columns without modifying the data; switch to
     /// [`safe_data::AuditPolicy::Repair`] to drop/impute them, or
     /// [`safe_data::AuditPolicy::Reject`] to fail fast.
@@ -105,13 +105,6 @@ pub struct SafeConfig {
     /// knob in [`GbmConfig`]; use [`SafeConfig::with_threads`] to set all
     /// three at once.
     pub parallelism: Parallelism,
-    /// Reuse per-column work across iterations: binned `u16` columns for the
-    /// miner/ranker boosters ([`crate::cache::BinCache`]) and finalized
-    /// IV/Pearson statistics ([`crate::cache::StatsCache`]), keyed by stable
-    /// column names. Results are **bit-identical** with the cache on or off
-    /// (`tests/cache_differential.rs` pins this); disabling only exists for
-    /// benchmarking the cold path. Default `true`.
-    pub cache: bool,
     /// Directory for durable iteration checkpoints (`SAFECKPT` files, see
     /// [`crate::checkpoint`]). `None` (the default) disables
     /// checkpointing; `Some(dir)` makes `fit` persist a snapshot after
@@ -145,7 +138,6 @@ impl Default for SafeConfig {
             audit: AuditConfig::default(),
             sink: SinkHandle::null(),
             parallelism: Parallelism::auto(),
-            cache: true,
             checkpoint_dir: None,
             checkpoint_every: 1,
         }
@@ -358,13 +350,6 @@ impl SafeConfigBuilder {
     /// Seed for the randomized strategies and subsampling.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Toggle the cross-iteration training caches (bin columns, IV/Pearson
-    /// values). On by default; results are bit-identical either way.
-    pub fn cache(mut self, cache: bool) -> Self {
-        self.config.cache = cache;
         self
     }
 

@@ -23,7 +23,7 @@ pub enum SafeError {
     /// Unusable input data.
     Data(String),
     /// The pre-fit data audit rejected the dataset (see
-    /// [`safe_data::audit`]). Carries the full audit report.
+    /// [`safe_data::audit`](mod@safe_data::audit)). Carries the full audit report.
     Audit(AuditError),
     /// An internal booster failed. Only constructed mid-loop; the
     /// degradation policy converts it into an iteration status, so callers

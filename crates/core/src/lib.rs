@@ -9,14 +9,14 @@
 //! 2. harvest feature combinations from the trees' root→leaf-parent paths
 //!    ([`combine`], Section IV-B1),
 //! 3. rank combinations by information gain ratio and keep the top γ
-//!    ([`combine::rank_combinations`], Algorithm 2),
+//!    ([`combine::rank_combinations_observed`], Algorithm 2),
 //! 4. apply the operator set to the kept combinations ([`generate`]),
-//! 5. filter candidates by Information Value > α ([`select::iv_filter`],
-//!    Algorithm 3),
+//! 5. filter candidates by Information Value > α
+//!    ([`select::iv_filter_cached`], Algorithm 3),
 //! 6. drop the lower-IV member of every |ρ| > θ pair
-//!    ([`select::redundancy_filter`], Algorithm 4),
+//!    ([`select::redundancy_filter_cached`], Algorithm 4),
 //! 7. rank survivors by average split gain and keep the best
-//!    ([`select::rank_and_cap`], Section IV-C3).
+//!    ([`select::rank_and_cap_cached`], Section IV-C3).
 //!
 //! The result is a serializable [`plan::FeaturePlan`] — the learned Ψ — that
 //! replays generation on any dataset or single record (the paper's real-time
@@ -30,7 +30,7 @@
 //! ## Robustness
 //!
 //! `Safe::fit` never panics on degenerate data: a configurable pre-fit
-//! audit ([`safe_data::audit`], wired through [`SafeConfig::audit`])
+//! audit ([`safe_data::audit`](mod@safe_data::audit), wired through [`SafeConfig::audit`])
 //! rejects or repairs unusable datasets, and mid-loop stage failures
 //! degrade to the last good iteration's plan (recorded per iteration as an
 //! [`safe::IterationStatus`]) instead of aborting the run.

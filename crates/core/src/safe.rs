@@ -13,17 +13,18 @@
 //!   the worst case the identity plan over the original schema) always
 //!   comes back.
 //!
-//! The pre-fit data audit ([`safe_data::audit`]) runs first under
+//! The pre-fit data audit ([`safe_data::audit`](mod@safe_data::audit)) runs first under
 //! [`crate::config::SafeConfig::audit`]; its report is part of the
 //! [`SafeOutcome`].
 
 use std::collections::{BTreeMap, HashSet};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use safe_data::audit::{enforce, AuditReport};
 use safe_data::dataset::{Dataset, FeatureMeta};
 use safe_gbm::booster::Gbm;
-use safe_obs::{stages, EventSink, ReportBuilder, RunReport, StageGuard, Waterfall};
+use safe_obs::{stages, ReportBuilder, RunReport, StageGuard, Waterfall};
 
 use crate::cache::{BinCache, StatsCache};
 use crate::checkpoint::{Checkpoint, CheckpointStore, ConfigFingerprint, Terminal};
@@ -255,7 +256,9 @@ impl Safe {
     }
 
     /// The shared fit loop behind [`Safe::fit`] (cold start) and
-    /// [`Safe::fit_resumed`] (continue from a [`Checkpoint`]).
+    /// [`Safe::fit_resumed`] (continue from a [`Checkpoint`]): set up or
+    /// restore the loop state, then run [`Safe::iterate`] and
+    /// [`Safe::close_iteration`] once per iteration until an ending is final.
     fn run(
         &self,
         train: &Dataset,
@@ -271,52 +274,14 @@ impl Safe {
         }
 
         let sink = self.config.sink.as_dyn();
-        let resuming = resume.is_some();
         // On resume the builder is seeded with the checkpointed report so
         // the finished report covers the whole run, not just this segment.
         let mut rb = match &resume {
             Some(ckpt) => ReportBuilder::resume(sink, ckpt.report.clone()),
             None => ReportBuilder::new(sink),
         };
-        // Thread budget shared by the parallel stages; each stage records it
-        // as a `threads` counter. It is an execution-environment value —
-        // results are identical for any setting — so `RunReport::structural_eq`
-        // excludes it from comparisons.
-        let par = self.config.parallelism;
-
-        // --- pre-fit data audit ---------------------------------------
-        // On resume the audit re-runs (its repairs must be reapplied for the
-        // schema to line up) but is NOT re-instrumented: the carried report
-        // already holds the first segment's audit span and warnings, and
-        // `enforce` is deterministic — same data, same findings.
-        let (audit_report, repaired) = if resuming {
-            enforce(train, &self.config.audit)?
-        } else {
-            let (audit_report, repaired) = {
-                let mut g = rb.stage(stages::AUDIT);
-                let result = enforce(train, &self.config.audit);
-                if let Ok((report, _)) = &result {
-                    g.counter("findings", report.findings.len() as u64);
-                    g.counter("repairs", report.actions.len() as u64);
-                }
-                result
-            }?;
-            for finding in &audit_report.findings {
-                rb.warn(stages::AUDIT, finding.code(), &finding.to_string());
-            }
-            for action in &audit_report.actions {
-                rb.warn(stages::AUDIT, "audit-repair", &action.to_string());
-            }
-            (audit_report, repaired)
-        };
-        let repaired_train;
-        let train: &Dataset = match repaired {
-            Some(ds) => {
-                repaired_train = ds;
-                &repaired_train
-            }
-            None => train,
-        };
+        let (audit_report, repaired) = self.audit(train, resume.is_some(), &mut rb)?;
+        let train: &Dataset = repaired.as_ref().unwrap_or(train);
         // Repairs change the schema; replay them on the validation set so
         // train and valid stay column-aligned.
         let valid: Option<Dataset> = match valid {
@@ -328,106 +293,26 @@ impl Safe {
             Some(v) => Some(v.clone()),
             None => None,
         };
+        let original_names = feature_name_vec(train);
 
-        let original_names: Vec<String> =
-            train.feature_names().iter().map(|s| s.to_string()).collect();
-        let cap = self.config.output_multiplier * train.n_cols();
-
-        // Cross-iteration caches (see `crate::cache`): binned columns for
-        // the miner/ranker boosters, finalized IV/Pearson values for the
-        // selection stages. Column names are stable provenance, so entries
-        // stay valid for every column that survives an iteration. `None`
-        // when disabled — results are bit-identical either way.
-        let mut bin_cache = self.config.cache.then(BinCache::new);
-        let mut stats_cache = self.config.cache.then(StatsCache::new);
-
-        // Durable checkpointing is on whenever a directory is configured.
-        let store = self
-            .config
-            .checkpoint_dir
-            .as_ref()
-            .map(|d| CheckpointStore::new(d.clone()));
-
-        // Every generated feature ever defined, for transitive plan assembly.
-        let mut catalog: BTreeMap<String, PlanStep> = BTreeMap::new();
-        let mut current_train: Dataset;
-        let mut current_valid: Option<Dataset>;
-        let mut history: Vec<IterationReport>;
-        let mut plans: Vec<FeaturePlan>;
-        let start_iteration: usize;
-        let prior_elapsed_us: u64;
-        match resume {
+        let (mut state, start_iteration, prior_elapsed_us) = match resume {
+            None => (LoopState::new(original_names, train.clone(), valid), 0, 0),
+            // A finished run reconstructs its outcome straight from the
+            // snapshot — no iterations re-run, resume is idempotent.
+            Some(ckpt) if ckpt.terminal.is_final() => {
+                return Ok(SafeOutcome {
+                    plan: final_plan(&ckpt.plans, &original_names),
+                    history: ckpt.history,
+                    plans_per_iteration: ckpt.plans,
+                    audit: audit_report,
+                    report: rb.finish(),
+                });
+            }
             Some(ckpt) => {
-                // A finished run reconstructs its outcome straight from the
-                // snapshot — no iterations re-run, resume is idempotent.
-                if ckpt.terminal.is_final() {
-                    let plan = ckpt.plans.last().cloned().unwrap_or_else(|| FeaturePlan {
-                        input_names: original_names.clone(),
-                        steps: Vec::new(),
-                        outputs: original_names.clone(),
-                    });
-                    return Ok(SafeOutcome {
-                        plan,
-                        history: ckpt.history,
-                        plans_per_iteration: ckpt.plans,
-                        audit: audit_report,
-                        report: rb.finish(),
-                    });
-                }
-                // Rebuild the working feature set by replaying the last good
-                // plan over the audited originals. Plan replay is
-                // deterministic and equal to the in-loop columns (the plan
-                // replay differential pins this), so the resumed loop sees
-                // exactly the state the crashed run held after its last
-                // completed iteration. The catalog only ever contributes
-                // steps reachable from selected outputs, so the last plan's
-                // steps are a sufficient reconstruction.
-                match ckpt.plans.last() {
-                    Some(last_plan) => {
-                        let compiled =
-                            last_plan.compile(&self.config.operators).map_err(|e| {
-                                SafeError::Checkpoint(format!(
-                                    "checkpointed plan does not compile against the \
-                                     configured operator registry: {e}"
-                                ))
-                            })?;
-                        current_train = compiled.apply(train).map_err(|e| {
-                            SafeError::Checkpoint(format!(
-                                "checkpointed plan does not replay on the training data: {e}"
-                            ))
-                        })?;
-                        current_valid = match &valid {
-                            Some(v) => Some(compiled.apply(v).map_err(|e| {
-                                SafeError::Checkpoint(format!(
-                                    "checkpointed plan does not replay on the validation \
-                                     data: {e}"
-                                ))
-                            })?),
-                            None => None,
-                        };
-                        for step in &last_plan.steps {
-                            catalog.insert(step.name.clone(), step.clone());
-                        }
-                    }
-                    None => {
-                        current_train = train.clone();
-                        current_valid = valid;
-                    }
-                }
-                start_iteration = ckpt.iterations_done;
-                prior_elapsed_us = ckpt.elapsed_us;
-                history = ckpt.history;
-                plans = ckpt.plans;
+                let (done, elapsed_us) = (ckpt.iterations_done, ckpt.elapsed_us);
+                (self.resume_state(original_names, train, valid, ckpt)?, done, elapsed_us)
             }
-            None => {
-                current_train = train.clone();
-                current_valid = valid;
-                history = Vec::new();
-                plans = Vec::new();
-                start_iteration = 0;
-                prior_elapsed_us = 0;
-            }
-        }
+        };
 
         let start = Instant::now();
         let prior_elapsed = Duration::from_micros(prior_elapsed_us);
@@ -436,562 +321,535 @@ impl Safe {
         } else {
             usize::MAX
         };
-
         for iteration in start_iteration..max_iters {
-            if let Some(budget) = self.config.time_budget {
-                if prior_elapsed + start.elapsed() >= budget {
-                    rb.begin_iteration(iteration);
-                    rb.warn(stages::ITERATION, "skipped", "time budget exhausted");
-                    let selected = feature_name_vec(&current_train);
-                    history.push(stub_report(
-                        iteration,
-                        &current_train,
-                        selected.clone(),
-                        0,
-                        IterationStatus::Skipped {
-                            reason: "time budget exhausted".into(),
-                        },
-                    ));
-                    plans.push(build_plan(&original_names, &catalog, &selected));
-                    rb.end_iteration("skipped");
-                    if let Some(store) = store.as_ref() {
-                        write_checkpoint(
-                            store,
-                            &self.config,
-                            &history,
-                            &plans,
-                            rb.snapshot(),
-                            bin_cache.as_ref(),
-                            stats_cache.as_ref(),
-                            Terminal::Skipped,
-                            prior_elapsed_us + start.elapsed().as_micros() as u64,
-                            sink,
-                            iteration,
-                        );
-                    }
-                    break;
-                }
-            }
             rb.begin_iteration(iteration);
             let iter_start = Instant::now();
-
-            // On any stage failure: record the iteration as degraded, fall
-            // back to the current (last good) feature set, stop the loop.
-            // The failure also surfaces as a structured `warn` event.
-            macro_rules! degrade {
-                ($stage:literal, $reason:expr) => {{
-                    let reason: String = $reason;
-                    rb.warn($stage, "degraded", &reason);
-                    let selected = feature_name_vec(&current_train);
-                    history.push(stub_report(
-                        iteration,
-                        &current_train,
-                        selected.clone(),
-                        iter_start.elapsed().as_micros() as u64,
-                        IterationStatus::Degraded {
-                            stage: $stage,
-                            reason,
-                        },
-                    ));
-                    plans.push(build_plan(&original_names, &catalog, &selected));
-                    rb.end_iteration("degraded");
-                    if let Some(store) = store.as_ref() {
-                        write_checkpoint(
-                            store,
-                            &self.config,
-                            &history,
-                            &plans,
-                            rb.snapshot(),
-                            bin_cache.as_ref(),
-                            stats_cache.as_ref(),
-                            Terminal::Degraded,
-                            prior_elapsed_us + start.elapsed().as_micros() as u64,
-                            sink,
-                            iteration,
-                        );
-                    }
-                    break;
-                }};
+            let end = self.iterate(&mut state, iteration, prior_elapsed + start.elapsed(), &mut rb);
+            let run_us = prior_elapsed_us + start.elapsed().as_micros() as u64;
+            if self.close_iteration(&mut state, end, iteration, iter_start, run_us, &mut rb)? {
+                break;
             }
+        }
 
-            // --- feature generation (Section IV-B) -------------------------
-            let combos = match self.make_combinations(
-                &current_train,
-                &current_valid,
-                iteration,
-                bin_cache.as_mut(),
-                &mut rb,
-            ) {
-                Ok(c) => c,
-                Err(e) => degrade!("mine", e.chain_string()),
-            };
-            let n_combinations = combos.0;
-            let ranked = combos.1;
-            let n_kept = ranked.len();
+        if train.has_chunked_columns() {
+            oocore_summary(train, &mut rb);
+        }
+        Ok(SafeOutcome {
+            plan: final_plan(&state.plans, &state.original_names),
+            history: state.history,
+            plans_per_iteration: state.plans,
+            audit: audit_report,
+            report: rb.finish(),
+        })
+    }
 
-            let gen_result = {
-                let mut g = rb.stage(stages::GENERATE);
-                g.counter("threads", par.resolve() as u64);
-                match generate_features_observed(
-                    &current_train,
-                    current_valid.as_ref(),
-                    &ranked,
-                    &self.config.operators,
-                    par,
-                ) {
-                    Ok((generated, stats)) => {
-                        for (op, count) in &stats.per_op {
-                            g.counter(&format!("op_{op}"), *count);
-                        }
-                        g.counter("degenerate_discarded", stats.degenerate_discarded);
-                        g.counter("name_collisions", stats.name_collisions);
-                        g.counter("op_fit_errors", stats.op_fit_errors);
-                        g.counter("stale_combinations", stats.stale_combinations);
-                        g.set_flow(n_kept as u64, generated.len() as u64);
-                        Ok(generated)
-                    }
-                    Err(p) => Err(p),
-                }
-            };
-            let generated = match gen_result {
-                Ok(g) => g,
-                Err(p) => {
-                    degrade!("generate", SafeError::worker_panic("generate", p).chain_string())
-                }
-            };
-            let n_generated = generated.len();
+    /// The pre-fit data audit under an `audit` span, with every finding and
+    /// repair surfaced as a warning.
+    ///
+    /// On resume the audit re-runs (its repairs must be reapplied for the
+    /// schema to line up) but is NOT re-instrumented: the carried report
+    /// already holds the first segment's audit span and warnings, and
+    /// `enforce` is deterministic — same data, same findings.
+    fn audit(
+        &self,
+        train: &Dataset,
+        resuming: bool,
+        rb: &mut ReportBuilder<'_>,
+    ) -> Result<(AuditReport, Option<Dataset>), SafeError> {
+        if resuming {
+            return Ok(enforce(train, &self.config.audit)?);
+        }
+        let (audit_report, repaired) = {
+            let mut g = rb.stage(stages::AUDIT);
+            let result = enforce(train, &self.config.audit);
+            if let Ok((report, _)) = &result {
+                g.counter("findings", report.findings.len() as u64);
+                g.counter("repairs", report.actions.len() as u64);
+            }
+            result
+        }?;
+        for finding in &audit_report.findings {
+            rb.warn(stages::AUDIT, finding.code(), &finding.to_string());
+        }
+        for action in &audit_report.actions {
+            rb.warn(stages::AUDIT, "audit-repair", &action.to_string());
+        }
+        Ok((audit_report, repaired))
+    }
 
-            // Candidate set X̂ = X ∪ X̃.
-            let mut cand_train = current_train.clone();
-            let mut cand_valid = current_valid.clone();
-            let mut push_err: Option<String> = None;
-            for g in &generated {
-                catalog.insert(
-                    g.name.clone(),
-                    PlanStep {
-                        name: g.name.clone(),
-                        op: g.op.clone(),
-                        parents: g.parents.clone(),
-                        params: g.params.clone(),
-                    },
-                );
-                let meta = FeatureMeta::generated(g.name.clone(), g.op.clone(), g.parents.clone());
-                if let Err(e) = cand_train.push_column(meta.clone(), g.train_values.clone()) {
-                    push_err = Some(e.to_string());
-                    break;
+    /// Rebuild the state a non-final checkpoint describes by replaying its
+    /// last good plan over the audited originals. Plan replay is
+    /// deterministic and equal to the in-loop columns (the plan replay
+    /// differential pins this), so the resumed loop sees exactly the state
+    /// the crashed run held after its last completed iteration. The catalog
+    /// only ever contributes steps reachable from selected outputs, so the
+    /// last plan's steps are a sufficient reconstruction. The caches start
+    /// empty, which makes resume the cold path the cache differential
+    /// suite compares against.
+    fn resume_state(
+        &self,
+        original_names: Vec<String>,
+        train: &Dataset,
+        valid: Option<Dataset>,
+        ckpt: Checkpoint,
+    ) -> Result<LoopState, SafeError> {
+        let mut state = match ckpt.plans.last() {
+            None => LoopState::new(original_names, train.clone(), valid),
+            Some(last_plan) => {
+                let compiled = last_plan.compile(&self.config.operators).map_err(|e| {
+                    SafeError::Checkpoint(format!(
+                        "checkpointed plan does not compile against the configured operator \
+                         registry: {e}"
+                    ))
+                })?;
+                let current_train = compiled.apply(train).map_err(|e| {
+                    SafeError::Checkpoint(format!(
+                        "checkpointed plan does not replay on the training data: {e}"
+                    ))
+                })?;
+                let current_valid = match &valid {
+                    Some(v) => Some(compiled.apply(v).map_err(|e| {
+                        SafeError::Checkpoint(format!(
+                            "checkpointed plan does not replay on the validation data: {e}"
+                        ))
+                    })?),
+                    None => None,
+                };
+                let mut state = LoopState::new(original_names, current_train, current_valid);
+                for step in &last_plan.steps {
+                    state.catalog.insert(step.name.clone(), step.clone());
                 }
-                if let (Some(v), Some(values)) = (cand_valid.as_mut(), g.valid_values.as_ref()) {
-                    if let Err(e) = v.push_column(meta, values.clone()) {
-                        push_err = Some(e.to_string());
-                        break;
-                    }
+                state
+            }
+        };
+        state.history = ckpt.history;
+        state.plans = ckpt.plans;
+        Ok(state)
+    }
+
+    /// One pass of Algorithm 1's funnel: mine → rank combinations →
+    /// generate → (staged prune) → IV → redundancy → gain-rank, skipped
+    /// when the run has already `spent` its time budget. A completed pass
+    /// makes the selection the working feature set in `state`; a failed
+    /// stage leaves the working set as it was and names itself in the
+    /// returned ending, and the failure also surfaces as a structured
+    /// `warn` event when the iteration is closed.
+    fn iterate(
+        &self,
+        state: &mut LoopState,
+        iteration: usize,
+        spent: Duration,
+        rb: &mut ReportBuilder<'_>,
+    ) -> IterationEnd {
+        if self.config.time_budget.is_some_and(|budget| spent >= budget) {
+            return IterationEnd::Skipped;
+        }
+        let par = self.config.parallelism;
+        let cap = self.config.output_multiplier * state.original_names.len();
+
+        // --- feature generation (Section IV-B) -------------------------
+        let (n_combinations, ranked) = match self.make_combinations(
+            &state.train,
+            &state.valid,
+            iteration,
+            &mut state.bin_cache,
+            rb,
+        ) {
+            Ok(c) => c,
+            Err(e) => return degraded("mine", e.chain_string()),
+        };
+        let n_kept = ranked.len();
+
+        let gen_result = {
+            let mut g = rb.stage(stages::GENERATE);
+            g.counter("threads", par.resolve() as u64);
+            generate_features_observed(
+                &state.train,
+                state.valid.as_ref(),
+                &ranked,
+                &self.config.operators,
+                par,
+            )
+            .map(|(generated, stats)| {
+                for (op, count) in &stats.per_op {
+                    g.counter(&format!("op_{op}"), *count);
+                }
+                g.counter("degenerate_discarded", stats.degenerate_discarded);
+                g.counter("name_collisions", stats.name_collisions);
+                g.counter("op_fit_errors", stats.op_fit_errors);
+                g.counter("stale_combinations", stats.stale_combinations);
+                g.set_flow(n_kept as u64, generated.len() as u64);
+                generated
+            })
+        };
+        let generated = match gen_result {
+            Ok(g) => g,
+            Err(p) => {
+                return degraded("generate", SafeError::worker_panic("generate", p).chain_string())
+            }
+        };
+        let n_generated = generated.len();
+
+        // Candidate set X̂ = X ∪ X̃.
+        let mut cand_train = state.train.clone();
+        let mut cand_valid = state.valid.clone();
+        for g in &generated {
+            state.catalog.insert(
+                g.name.clone(),
+                PlanStep {
+                    name: g.name.clone(),
+                    op: g.op.clone(),
+                    parents: g.parents.clone(),
+                    params: g.params.clone(),
+                },
+            );
+            let meta = FeatureMeta::generated(g.name.clone(), g.op.clone(), g.parents.clone());
+            if let Err(e) = cand_train.push_column(meta.clone(), g.train_values.clone()) {
+                return degraded("generate", e.to_string());
+            }
+            if let (Some(v), Some(values)) = (cand_valid.as_mut(), g.valid_values.as_ref()) {
+                if let Err(e) = v.push_column(meta, values.clone()) {
+                    return degraded("generate", e.to_string());
                 }
             }
-            if let Some(reason) = push_err {
-                degrade!("generate", reason);
-            }
-            let n_candidates = cand_train.n_cols();
+        }
+        let n_candidates = cand_train.n_cols();
 
-            // --- staged candidate pruning (SelectionMode::Staged only) -----
-            // Successive halving whittles the pool down to a finalist set
-            // before the exact stages run; exact mode takes the whole pool
-            // straight through, bit-identical to the pre-staged pipeline
-            // (no extra stage, no extra counters).
-            let staged_finalists: Option<Vec<usize>> = match self.config.selection {
-                SelectionMode::Exact => None,
-                SelectionMode::Staged => {
-                    let staged_cfg = StagedConfig::for_pool(
-                        cap,
-                        n_candidates,
-                        self.config.beta,
-                        self.config
-                            .seed
-                            .wrapping_add(iteration as u64)
-                            .wrapping_mul(0x9E3779B97F4A7C15),
-                    );
-                    let all_candidates: Vec<usize> = (0..n_candidates).collect();
-                    let staged_result = {
-                        let mut g = rb.stage(stages::STAGED_PRUNE);
-                        g.counter("threads", par.resolve() as u64);
-                        g.counter("finalist_target", staged_cfg.finalist_target as u64);
-                        match staged_prune(&cand_train, &all_candidates, &staged_cfg, par) {
-                            Ok((finalists, rep)) => {
-                                g.counter("rungs", rep.rungs.len() as u64);
-                                g.counter("rows_scored", rep.rows_scored());
-                                g.counter("short_circuited", rep.short_circuited as u64);
-                                if let Some(last) = rep.rungs.last() {
-                                    g.counter("final_sample_rows", last.sample_rows as u64);
-                                }
-                                g.set_flow(n_candidates as u64, finalists.len() as u64);
-                                Ok(finalists)
-                            }
-                            Err(p) => Err(p),
-                        }
-                    };
-                    match staged_result {
-                        Ok(f) => Some(f),
-                        Err(p) => degrade!(
-                            "staged-prune",
-                            SafeError::worker_panic("staged-prune", p).chain_string()
-                        ),
-                    }
-                }
-            };
-            // The pool the exact stages see: everything (Exact) or the
-            // staged finalists (Staged). Finalist column selection keeps
-            // names and values, so the stats/bin caches stay valid.
-            let staged_train: Dataset;
-            let staged_valid: Option<Dataset>;
-            let (sel_train, sel_valid): (&Dataset, Option<&Dataset>) = match &staged_finalists {
-                None => (&cand_train, cand_valid.as_ref()),
-                Some(finalists) => {
-                    staged_train = match cand_train.select_columns(finalists) {
-                        Ok(ds) => ds,
-                        Err(e) => degrade!("staged-prune", e.to_string()),
-                    };
-                    staged_valid = match &cand_valid {
-                        Some(v) => match v.select_columns(finalists) {
-                            Ok(ds) => Some(ds),
-                            Err(e) => degrade!("staged-prune", e.to_string()),
-                        },
-                        None => None,
-                    };
-                    (&staged_train, staged_valid.as_ref())
-                }
-            };
-            let n_pool = sel_train.n_cols();
-
-            // --- feature selection (Section IV-C) --------------------------
-            let iv_result = {
-                let mut g = rb.stage(stages::IV_FILTER);
-                g.counter("threads", par.resolve() as u64);
-                let before = stats_cache
-                    .as_ref()
-                    .map(|c| (c.iv_hits(), c.iv_misses()));
-                match iv_filter_cached(
-                    sel_train,
-                    self.config.alpha,
+        // --- staged candidate pruning (SelectionMode::Staged only) -----
+        // Successive halving whittles the pool down to a finalist set
+        // before the exact stages run; exact mode takes the whole pool
+        // straight through, bit-identical to the pre-staged pipeline
+        // (no extra stage, no extra counters).
+        let staged_finalists: Option<Vec<usize>> = match self.config.selection {
+            SelectionMode::Exact => None,
+            SelectionMode::Staged => {
+                let staged_cfg = StagedConfig::for_pool(
+                    cap,
+                    n_candidates,
                     self.config.beta,
-                    par,
-                    stats_cache.as_mut(),
-                ) {
-                    Ok(survivors) => {
-                        if let (Some(c), Some((h0, m0))) = (stats_cache.as_ref(), before) {
-                            g.counter("cache_iv_hits", c.iv_hits() - h0);
-                            g.counter("cache_iv_misses", c.iv_misses() - m0);
-                        }
-                        g.counter("dropped_alpha", (n_pool - survivors.len()) as u64);
-                        g.set_flow(n_pool as u64, survivors.len() as u64);
-                        Ok(survivors)
+                    self.config
+                        .seed
+                        .wrapping_add(iteration as u64)
+                        .wrapping_mul(0x9E3779B97F4A7C15),
+                );
+                let all_candidates: Vec<usize> = (0..n_candidates).collect();
+                let staged_result = {
+                    let mut g = rb.stage(stages::STAGED_PRUNE);
+                    g.counter("threads", par.resolve() as u64);
+                    g.counter("finalist_target", staged_cfg.finalist_target as u64);
+                    staged_prune(&cand_train, &all_candidates, &staged_cfg, par).map(
+                        |(finalists, rep)| {
+                            g.counter("rungs", rep.rungs.len() as u64);
+                            g.counter("rows_scored", rep.rows_scored());
+                            g.counter("short_circuited", rep.short_circuited as u64);
+                            if let Some(last) = rep.rungs.last() {
+                                g.counter("final_sample_rows", last.sample_rows as u64);
+                            }
+                            g.set_flow(n_candidates as u64, finalists.len() as u64);
+                            finalists
+                        },
+                    )
+                };
+                match staged_result {
+                    Ok(f) => Some(f),
+                    Err(p) => {
+                        return degraded(
+                            "staged-prune",
+                            SafeError::worker_panic("staged-prune", p).chain_string(),
+                        )
                     }
-                    Err(p) => Err(p),
                 }
-            };
-            let iv_survivors = match iv_result {
-                Ok(s) => s,
-                Err(p) => {
-                    degrade!("iv-filter", SafeError::worker_panic("iv-filter", p).chain_string())
-                }
-            };
-            let n_after_iv = iv_survivors.len();
-            if iv_survivors.is_empty() {
-                // Nothing clears α: keep the current feature set and stop —
-                // models need at least one column.
-                let reason = "no candidate cleared the IV threshold α";
-                rb.warn(stages::IV_FILTER, "degraded", reason);
-                let selected = feature_name_vec(&current_train);
-                history.push(IterationReport {
-                    iteration,
+            }
+        };
+        // The pool the exact stages see: everything (Exact) or the
+        // staged finalists (Staged). Finalist column selection keeps
+        // names and values, so the stats/bin caches stay valid.
+        let staged_train: Dataset;
+        let staged_valid: Option<Dataset>;
+        let (sel_train, sel_valid): (&Dataset, Option<&Dataset>) = match &staged_finalists {
+            None => (&cand_train, cand_valid.as_ref()),
+            Some(finalists) => {
+                staged_train = match cand_train.select_columns(finalists) {
+                    Ok(ds) => ds,
+                    Err(e) => return degraded("staged-prune", e.to_string()),
+                };
+                staged_valid = match &cand_valid {
+                    Some(v) => match v.select_columns(finalists) {
+                        Ok(ds) => Some(ds),
+                        Err(e) => return degraded("staged-prune", e.to_string()),
+                    },
+                    None => None,
+                };
+                (&staged_train, staged_valid.as_ref())
+            }
+        };
+        let n_pool = sel_train.n_cols();
+
+        // --- feature selection (Section IV-C) --------------------------
+        let iv_result = {
+            let mut g = rb.stage(stages::IV_FILTER);
+            g.counter("threads", par.resolve() as u64);
+            let cache = &mut state.stats_cache;
+            let (h0, m0) = (cache.iv_hits(), cache.iv_misses());
+            let (alpha, beta) = (self.config.alpha, self.config.beta);
+            iv_filter_cached(sel_train, alpha, beta, par, Some(cache)).map(|survivors| {
+                g.counter("cache_iv_hits", state.stats_cache.iv_hits() - h0);
+                g.counter("cache_iv_misses", state.stats_cache.iv_misses() - m0);
+                g.counter("dropped_alpha", (n_pool - survivors.len()) as u64);
+                g.set_flow(n_pool as u64, survivors.len() as u64);
+                survivors
+            })
+        };
+        let iv_survivors = match iv_result {
+            Ok(s) => s,
+            Err(p) => {
+                return degraded("iv-filter", SafeError::worker_panic("iv-filter", p).chain_string())
+            }
+        };
+        let n_after_iv = iv_survivors.len();
+        if iv_survivors.is_empty() {
+            // Nothing clears α: keep the current feature set and stop —
+            // models need at least one column.
+            return IterationEnd::Degraded {
+                stage: "iv-filter",
+                reason: "no candidate cleared the IV threshold α".into(),
+                funnel: Some(Funnel {
                     n_combinations,
                     n_combinations_kept: n_kept,
                     n_generated,
                     n_candidates,
                     n_after_iv,
                     n_after_redundancy: 0,
-                    n_selected: selected.len(),
-                    selected: selected.clone(),
-                    elapsed_us: iter_start.elapsed().as_micros() as u64,
-                    status: IterationStatus::Degraded {
-                        stage: "iv-filter",
-                        reason: reason.into(),
-                    },
-                });
-                plans.push(build_plan(&original_names, &catalog, &selected));
-                rb.end_iteration("degraded");
-                if let Some(store) = store.as_ref() {
-                    write_checkpoint(
-                        store,
-                        &self.config,
-                        &history,
-                        &plans,
-                        rb.snapshot(),
-                        bin_cache.as_ref(),
-                        stats_cache.as_ref(),
-                        Terminal::Degraded,
-                        prior_elapsed_us + start.elapsed().as_micros() as u64,
-                        sink,
-                        iteration,
-                    );
-                }
-                break;
-            }
-            let kept_result: Result<Vec<usize>, String> = {
-                let mut g = rb.stage(stages::REDUNDANCY);
-                g.counter("threads", par.resolve() as u64);
-                let scanned = match self.config.selection {
-                    // Exact: f64 Pearson over full columns, through the
-                    // cross-iteration stats cache — the pre-staged path,
-                    // untouched.
-                    SelectionMode::Exact => {
-                        let before = stats_cache
-                            .as_ref()
-                            .map(|c| (c.pearson_hits(), c.pearson_misses()));
-                        match redundancy_filter_cached(
-                            sel_train,
-                            &iv_survivors,
-                            self.config.theta,
-                            par,
-                            stats_cache.as_mut(),
-                        ) {
-                            Ok(res) => {
-                                if let (Some(c), Some((h0, m0))) = (stats_cache.as_ref(), before)
-                                {
-                                    g.counter("cache_pearson_hits", c.pearson_hits() - h0);
-                                    g.counter("cache_pearson_misses", c.pearson_misses() - m0);
-                                }
-                                Ok(res)
-                            }
-                            Err(p) => {
-                                Err(SafeError::worker_panic("redundancy", p).chain_string())
-                            }
-                        }
-                    }
-                    // Staged: integer co-occurrence kernel over u16 bin
-                    // columns at the ranker's bin budget, shared with the
-                    // rank-topk booster through the bin cache. Binned ρ is
-                    // not bitwise-equal to exact ρ, so the f64 stats cache
-                    // is deliberately not consulted.
-                    SelectionMode::Staged => {
-                        g.counter("binned", 1);
-                        redundancy_filter_binned(
-                            sel_train,
-                            &iv_survivors,
-                            self.config.theta,
-                            self.config.ranker.max_bins,
-                            par,
-                            bin_cache.as_mut(),
-                        )
-                        .map_err(|e| e.to_string())
-                    }
-                };
-                match scanned {
-                    Ok((kept, pairs)) => {
-                        g.counter("pairs_compared", pairs);
-                        g.counter("dropped_theta", (n_after_iv - kept.len()) as u64);
-                        g.set_flow(n_after_iv as u64, kept.len() as u64);
-                        Ok(kept)
-                    }
-                    Err(reason) => Err(reason),
-                }
+                }),
             };
-            let kept = match kept_result {
-                Ok(k) => k,
-                Err(reason) => degrade!("redundancy", reason),
-            };
-            let n_after_redundancy = kept.len();
-
-            let rank_result = {
-                let mut g = rb.stage(stages::RANK_TOPK);
-                g.counter("threads", self.config.ranker.parallelism.resolve() as u64);
-                // Staged fast path: when the cap cannot bind, the ranking
-                // booster decides nothing — every survivor is selected
-                // regardless of gain order — so staged mode skips the
-                // retrain and keeps the redundancy scan's descending-IV
-                // order. Exact mode always ranks: its plan (including
-                // output order) is pinned bit-identical to the seed
-                // pipeline.
-                if self.config.selection == SelectionMode::Staged && kept.len() <= cap {
-                    g.counter("skipped_cap_unbound", 1);
-                    g.set_flow(n_after_redundancy as u64, kept.len() as u64);
-                    Ok(kept.clone())
-                } else {
-                    let cached = bin_cache.is_some();
-                    match rank_and_cap_cached(
+        }
+        let kept_result: Result<Vec<usize>, String> = {
+            let mut g = rb.stage(stages::REDUNDANCY);
+            g.counter("threads", par.resolve() as u64);
+            let scanned = match self.config.selection {
+                // Exact: f64 Pearson over full columns, through the
+                // cross-iteration stats cache.
+                SelectionMode::Exact => {
+                    let cache = &mut state.stats_cache;
+                    let (h0, m0) = (cache.pearson_hits(), cache.pearson_misses());
+                    let theta = self.config.theta;
+                    redundancy_filter_cached(sel_train, &iv_survivors, theta, par, Some(cache))
+                        .map(|res| {
+                            let cache = &state.stats_cache;
+                            g.counter("cache_pearson_hits", cache.pearson_hits() - h0);
+                            g.counter("cache_pearson_misses", cache.pearson_misses() - m0);
+                            res
+                        })
+                        .map_err(|p| SafeError::worker_panic("redundancy", p).chain_string())
+                }
+                // Staged: integer co-occurrence kernel over u16 bin
+                // columns at the ranker's bin budget, shared with the
+                // rank-topk booster through the bin cache. Binned ρ is
+                // not bitwise-equal to exact ρ, so the f64 stats cache
+                // is deliberately not consulted.
+                SelectionMode::Staged => {
+                    g.counter("binned", 1);
+                    redundancy_filter_binned(
                         sel_train,
-                        sel_valid,
-                        &kept,
-                        &self.config.ranker,
-                        cap,
-                        bin_cache.as_mut(),
-                        g.sink(),
-                        g.iteration(),
-                    ) {
-                        Ok((idx, stats)) => {
-                            absorb_gbm_stats(&mut g, &stats, cached);
-                            g.set_flow(n_after_redundancy as u64, idx.len() as u64);
-                            Ok(idx)
-                        }
-                        Err(source) => Err(source),
-                    }
+                        &iv_survivors,
+                        self.config.theta,
+                        self.config.ranker.max_bins,
+                        par,
+                        &mut state.bin_cache,
+                    )
+                    .map_err(|e| e.to_string())
                 }
             };
-            let selected_idx = match rank_result {
-                Ok(idx) => idx,
-                Err(source) => {
-                    let e = SafeError::Gbm { iteration, stage: "rank", source };
-                    degrade!("rank", e.chain_string())
-                }
-            };
-            if selected_idx.is_empty() {
-                degrade!("rank", "ranking selected no features".into());
-            }
-            // Staged rank indices point into the finalist subset; map them
-            // back to candidate-pool indices for plan assembly and the
-            // next iteration's column selection.
-            let selected_idx: Vec<usize> = match &staged_finalists {
-                None => selected_idx,
-                Some(finalists) => selected_idx.iter().map(|&i| finalists[i]).collect(),
-            };
-            let selected: Vec<String> = selected_idx
-                .iter()
-                .filter_map(|&i| cand_train.meta().get(i).map(|m| m.name.clone()))
-                .collect();
-            let n_selected = selected.len();
+            scanned.map(|(kept, pairs)| {
+                g.counter("pairs_compared", pairs);
+                g.counter("dropped_theta", (n_after_iv - kept.len()) as u64);
+                g.set_flow(n_after_iv as u64, kept.len() as u64);
+                kept
+            })
+        };
+        let kept = match kept_result {
+            Ok(k) => k,
+            Err(reason) => return degraded("redundancy", reason),
+        };
+        let n_after_redundancy = kept.len();
 
-            let prev_names: HashSet<String> = current_train
-                .feature_names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            current_train = match cand_train.select_columns(&selected_idx) {
-                Ok(ds) => ds,
-                Err(e) => degrade!("select", e.to_string()),
-            };
-            if let Some(v) = cand_valid {
-                current_valid = match v.select_columns(&selected_idx) {
-                    Ok(ds) => Some(ds),
-                    Err(e) => degrade!("select", e.to_string()),
-                };
+        let rank_result = {
+            let mut g = rb.stage(stages::RANK_TOPK);
+            g.counter("threads", self.config.ranker.parallelism.resolve() as u64);
+            // Staged fast path: when the cap cannot bind, the ranking
+            // booster decides nothing — every survivor is selected
+            // regardless of gain order — so staged mode skips the
+            // retrain and keeps the redundancy scan's descending-IV
+            // order. Exact mode always ranks: its plan (including
+            // output order) is pinned bit-identical to the seed
+            // pipeline.
+            if self.config.selection == SelectionMode::Staged && kept.len() <= cap {
+                g.counter("skipped_cap_unbound", 1);
+                g.set_flow(n_after_redundancy as u64, kept.len() as u64);
+                Ok(kept.clone())
+            } else {
+                rank_and_cap_cached(
+                    sel_train,
+                    sel_valid,
+                    &kept,
+                    &self.config.ranker,
+                    cap,
+                    Some(&mut state.bin_cache),
+                    g.sink(),
+                    g.iteration(),
+                )
+                .map(|(idx, stats)| {
+                    absorb_gbm_stats(&mut g, &stats);
+                    g.set_flow(n_after_redundancy as u64, idx.len() as u64);
+                    idx
+                })
             }
+        };
+        let selected_idx = match rank_result {
+            Ok(idx) => idx,
+            Err(source) => {
+                let e = SafeError::Gbm { iteration, stage: "rank", source };
+                return degraded("rank", e.chain_string());
+            }
+        };
+        if selected_idx.is_empty() {
+            return degraded("rank", "ranking selected no features".into());
+        }
+        // Staged rank indices point into the finalist subset; map them
+        // back to candidate-pool indices for plan assembly and the
+        // next iteration's column selection.
+        let selected_idx: Vec<usize> = match &staged_finalists {
+            None => selected_idx,
+            Some(finalists) => selected_idx.iter().map(|&i| finalists[i]).collect(),
+        };
+        let selected: Vec<String> = selected_idx
+            .iter()
+            .filter_map(|&i| cand_train.meta().get(i).map(|m| m.name.clone()))
+            .collect();
 
-            rb.set_waterfall(Waterfall {
-                generated: n_generated as u64,
-                candidates: n_candidates as u64,
-                post_iv: n_after_iv as u64,
-                post_redundancy: n_after_redundancy as u64,
-                selected: n_selected as u64,
-            });
-            history.push(IterationReport {
-                iteration,
+        // Converged: the selected set did not change.
+        let prev_names: HashSet<&str> = state.train.feature_names().into_iter().collect();
+        let converged = selected.iter().map(String::as_str).collect::<HashSet<_>>() == prev_names;
+        state.train = match cand_train.select_columns(&selected_idx) {
+            Ok(ds) => ds,
+            Err(e) => return degraded("select", e.to_string()),
+        };
+        if let Some(v) = cand_valid {
+            state.valid = match v.select_columns(&selected_idx) {
+                Ok(ds) => Some(ds),
+                Err(e) => return degraded("select", e.to_string()),
+            };
+        }
+        IterationEnd::Completed {
+            funnel: Funnel {
                 n_combinations,
                 n_combinations_kept: n_kept,
                 n_generated,
                 n_candidates,
                 n_after_iv,
                 n_after_redundancy,
-                n_selected,
-                selected: selected.clone(),
-                elapsed_us: iter_start.elapsed().as_micros() as u64,
-                status: IterationStatus::Completed,
-            });
-            plans.push(build_plan(&original_names, &catalog, &selected));
-            rb.end_iteration("completed");
+            },
+            selected,
+            converged,
+        }
+    }
 
-            // Converged: the selected set did not change.
-            let new_names: HashSet<String> = selected.iter().cloned().collect();
-            let converged = new_names == prev_names;
-
-            // Durable checkpoint once the iteration has fully closed. The
-            // two kill failpoints bracket the save to simulate a process
-            // dying just before/after durability: the `Err` return stands in
-            // for the process vanishing mid-fit (test-only, feature-gated —
-            // a documented exception to the degradation policy).
-            safe_data::failpoint!(
-                "ckpt/kill-before-save",
-                SafeError::Checkpoint(
-                    "injected: ckpt/kill-before-save (simulated crash)".into()
-                )
-            );
-            if let Some(store) = store.as_ref() {
+    /// Close an iteration however it ended, in one place: record its
+    /// warning (degraded, skipped) or waterfall (completed), push the
+    /// [`IterationReport`] and plan snapshot, end the iteration span,
+    /// choose the [`Terminal`], and persist the checkpoint. Returns whether
+    /// the loop stops here.
+    ///
+    /// Terminal snapshots always persist (resume must be able to
+    /// reconstruct a finished run); mid-run ones honor the
+    /// `checkpoint_every` stride. The two kill failpoints bracket the save
+    /// of a completed iteration to simulate a process dying just
+    /// before/after durability: the `Err` return stands in for the process
+    /// vanishing mid-fit (test-only, feature-gated — a documented exception
+    /// to the degradation policy).
+    fn close_iteration(
+        &self,
+        state: &mut LoopState,
+        end: IterationEnd,
+        iteration: usize,
+        iter_start: Instant,
+        run_elapsed_us: u64,
+        rb: &mut ReportBuilder<'_>,
+    ) -> Result<bool, SafeError> {
+        // A degraded or skipped iteration keeps the working feature set.
+        let carried = Funnel { n_candidates: state.train.n_cols(), ..Funnel::default() };
+        let (funnel, selected, status, terminal) = match end {
+            IterationEnd::Completed { funnel, selected, converged } => {
+                rb.set_waterfall(Waterfall {
+                    generated: funnel.n_generated as u64,
+                    candidates: funnel.n_candidates as u64,
+                    post_iv: funnel.n_after_iv as u64,
+                    post_redundancy: funnel.n_after_redundancy as u64,
+                    selected: selected.len() as u64,
+                });
                 let terminal = if converged {
                     Terminal::Converged
-                } else if iteration + 1 == max_iters {
+                } else if iteration + 1 == self.config.n_iterations {
                     Terminal::ItersExhausted
                 } else {
                     Terminal::Running
                 };
-                // Terminal snapshots always persist (resume must be able to
-                // reconstruct a finished run); mid-run ones honor the
-                // checkpoint_every stride.
-                if terminal.is_final()
-                    || history.len().is_multiple_of(self.config.checkpoint_every)
-                {
-                    write_checkpoint(
-                        store,
-                        &self.config,
-                        &history,
-                        &plans,
-                        rb.snapshot(),
-                        bin_cache.as_ref(),
-                        stats_cache.as_ref(),
-                        terminal,
-                        prior_elapsed_us + start.elapsed().as_micros() as u64,
-                        sink,
-                        iteration,
-                    );
-                }
+                (funnel, selected, IterationStatus::Completed, terminal)
             }
+            IterationEnd::Degraded { stage, reason, funnel } => {
+                rb.warn(stage, "degraded", &reason);
+                let status = IterationStatus::Degraded { stage, reason };
+                let selected = feature_name_vec(&state.train);
+                (funnel.unwrap_or(carried), selected, status, Terminal::Degraded)
+            }
+            IterationEnd::Skipped => {
+                let reason = "time budget exhausted";
+                rb.warn(stages::ITERATION, "skipped", reason);
+                let status = IterationStatus::Skipped { reason: reason.into() };
+                (carried, feature_name_vec(&state.train), status, Terminal::Skipped)
+            }
+        };
+        let iter_us = iter_start.elapsed().as_micros() as u64;
+        let (label, elapsed_us) = match status {
+            IterationStatus::Completed => ("completed", iter_us),
+            IterationStatus::Degraded { .. } => ("degraded", iter_us),
+            IterationStatus::Skipped { .. } => ("skipped", 0),
+        };
+        let completed = status == IterationStatus::Completed;
+        state.plans.push(build_plan(&state.original_names, &state.catalog, &selected));
+        state.history.push(IterationReport {
+            iteration,
+            n_combinations: funnel.n_combinations,
+            n_combinations_kept: funnel.n_combinations_kept,
+            n_generated: funnel.n_generated,
+            n_candidates: funnel.n_candidates,
+            n_after_iv: funnel.n_after_iv,
+            n_after_redundancy: funnel.n_after_redundancy,
+            n_selected: selected.len(),
+            selected,
+            elapsed_us,
+            status,
+        });
+        rb.end_iteration(label);
+
+        if completed {
+            safe_data::failpoint!(
+                "ckpt/kill-before-save",
+                SafeError::Checkpoint("injected: ckpt/kill-before-save (simulated crash)".into())
+            );
+        }
+        let due = terminal.is_final()
+            || state.history.len().is_multiple_of(self.config.checkpoint_every);
+        if let (Some(dir), true) = (&self.config.checkpoint_dir, due) {
+            self.write_checkpoint(dir, state, rb.snapshot(), terminal, run_elapsed_us, iteration);
+        }
+        if completed {
             safe_data::failpoint!(
                 "ckpt/kill-after-save",
-                SafeError::Checkpoint(
-                    "injected: ckpt/kill-after-save (simulated crash)".into()
-                )
+                SafeError::Checkpoint("injected: ckpt/kill-after-save (simulated crash)".into())
             );
-            if converged {
-                break;
-            }
         }
-
-        let plan = plans.last().cloned().unwrap_or_else(|| FeaturePlan {
-            input_names: original_names.clone(),
-            steps: Vec::new(),
-            outputs: original_names.clone(),
-        });
-        // Chunked fits close with a run-level backend summary: chunk-cache
-        // traffic and the resident high-water mark against the configured
-        // budget. Cache traffic depends on worker interleaving, so every
-        // `oocore_*` counter — and the stage itself — is excluded from
-        // `RunReport::structural_eq` (a spilled run stays structurally
-        // equal to its resident twin).
-        if train.has_chunked_columns() {
-            let mut g = rb.stage(stages::OOCORE);
-            let stores = train.chunk_stores();
-            g.counter("oocore_stores", stores.len() as u64);
-            let (mut hits, mut loads, mut evictions, mut peak, mut budget, mut table) =
-                (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
-            for store in stores {
-                let stats = store.stats();
-                hits += stats.hits;
-                loads += stats.loads;
-                evictions += stats.evictions;
-                peak += stats.peak_resident_bytes;
-                budget += store.budget_bytes().unwrap_or_else(|| store.table_bytes());
-                table += store.table_bytes();
-            }
-            g.counter("oocore_chunk_hits", hits);
-            g.counter("oocore_chunk_loads", loads);
-            g.counter("oocore_evictions", evictions);
-            g.counter("oocore_peak_resident_bytes", peak);
-            g.counter("oocore_budget_bytes", budget);
-            g.counter("oocore_table_bytes", table);
-        }
-        Ok(SafeOutcome {
-            plan,
-            history,
-            plans_per_iteration: plans,
-            audit: audit_report,
-            report: rb.finish(),
-        })
+        Ok(terminal.is_final())
     }
 
     /// Produce (total mined, ranked-top-γ) combinations per the configured
@@ -1004,7 +862,7 @@ impl Safe {
         train: &Dataset,
         valid: &Option<Dataset>,
         iteration: usize,
-        bin_cache: Option<&mut BinCache>,
+        bin_cache: &mut BinCache,
         rb: &mut ReportBuilder<'_>,
     ) -> Result<(usize, Vec<Combination>), SafeError> {
         let max_arity = self.config.operators.max_arity().max(1);
@@ -1030,21 +888,16 @@ impl Safe {
                 let rank_result = {
                     let mut g = rb.stage(stages::RANK_COMBOS);
                     g.counter("threads", self.config.parallelism.resolve() as u64);
-                    match rank_combinations_observed(
-                        combos,
-                        train,
-                        self.config.gamma,
-                        self.config.parallelism,
-                    ) {
-                        Ok((ranked, stats)) => {
+                    let par = self.config.parallelism;
+                    rank_combinations_observed(combos, train, self.config.gamma, par).map(
+                        |(ranked, stats)| {
                             g.counter("candidates_in", stats.candidates_in);
                             g.counter("cells_evaluated", stats.cells_evaluated);
                             g.counter("gamma_truncated", stats.gamma_truncated);
                             g.set_flow(stats.candidates_in, ranked.len() as u64);
-                            Ok(ranked)
-                        }
-                        Err(p) => Err(p),
-                    }
+                            ranked
+                        },
+                    )
                 };
                 let ranked =
                     rank_result.map_err(|p| SafeError::worker_panic("rank-combos", p))?;
@@ -1078,40 +931,175 @@ impl Safe {
         }
     }
 
+
     /// Train the combination-mining booster under a `gbm-train` span.
     fn fit_miner(
         &self,
         train: &Dataset,
         valid: &Option<Dataset>,
-        cache: Option<&mut BinCache>,
+        cache: &mut BinCache,
         rb: &mut ReportBuilder<'_>,
     ) -> Result<safe_gbm::booster::GbmModel, safe_gbm::GbmError> {
         let mut g = rb.stage(stages::GBM_TRAIN);
         g.counter("threads", self.config.miner.parallelism.resolve() as u64);
-        let cached = cache.is_some();
         let result = Gbm::new(self.config.miner.clone()).fit_cached_observed(
             train,
             valid.as_ref(),
-            cache,
+            Some(cache),
             g.sink(),
             stages::GBM_TRAIN,
             g.iteration(),
         );
-        match result {
-            Ok((model, stats)) => {
-                absorb_gbm_stats(&mut g, &stats, cached);
-                Ok(model)
+        result.map(|(model, stats)| {
+            absorb_gbm_stats(&mut g, &stats);
+            model
+        })
+    }
+
+    /// Persist a durable checkpoint after a closed iteration under a
+    /// sink-only `checkpoint` span with `ckpt_bytes`/`ckpt_iterations`
+    /// counters.
+    ///
+    /// The span is deliberately NOT recorded in the `RunReport`: the report
+    /// embedded in the snapshot must match the uninterrupted run's, and a
+    /// resumed run replays no checkpoint spans for its first segment. For
+    /// the same reason a failed save degrades *durability*, not training —
+    /// the error surfaces as a sink warning and the loop carries on.
+    fn write_checkpoint(
+        &self,
+        dir: &Path,
+        state: &LoopState,
+        report: RunReport,
+        terminal: Terminal,
+        elapsed_us: u64,
+        iteration: usize,
+    ) {
+        let sink = self.config.sink.as_dyn();
+        let t0 = Instant::now();
+        sink.stage_start(stages::CHECKPOINT, Some(iteration));
+        let ckpt = Checkpoint {
+            fingerprint: ConfigFingerprint::of(&self.config),
+            iterations_done: state.history.len(),
+            terminal,
+            elapsed_us,
+            history: state.history.clone(),
+            plans: state.plans.clone(),
+            report,
+            bin_keys: state.bin_cache.keys(),
+            iv_entries: state.stats_cache.iv_len(),
+            pearson_entries: state.stats_cache.pearson_len(),
+        };
+        let save_t0 = Instant::now();
+        let saved = CheckpointStore::new(dir).save(&ckpt);
+        let save_us = save_t0.elapsed().as_micros() as u64;
+        match saved {
+            Ok(bytes) => {
+                sink.counter(stages::CHECKPOINT, Some(iteration), "ckpt_bytes", bytes);
+                sink.counter(
+                    stages::CHECKPOINT,
+                    Some(iteration),
+                    "ckpt_iterations",
+                    ckpt.iterations_done as u64,
+                );
+                // Sink-only latency observation, same contract as the span:
+                // feeds the ckpt_write_us histogram, never the report.
+                sink.observe(stages::CHECKPOINT, Some(iteration), "ckpt_write_us", save_us);
             }
-            Err(e) => Err(e),
+            Err(e) => {
+                sink.warn(
+                    stages::CHECKPOINT,
+                    Some(iteration),
+                    "ckpt-save-failed",
+                    &format!("checkpoint save failed (training continues): {e}"),
+                );
+            }
+        }
+        sink.stage_end(
+            stages::CHECKPOINT,
+            Some(iteration),
+            t0.elapsed().as_micros() as u64,
+        );
+    }
+}
+
+/// Funnel counts an iteration reached before it ended (the count fields of
+/// its [`IterationReport`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Funnel {
+    n_combinations: usize,
+    n_combinations_kept: usize,
+    n_generated: usize,
+    n_candidates: usize,
+    n_after_iv: usize,
+    n_after_redundancy: usize,
+}
+
+/// How [`Safe::iterate`] ended an iteration; [`Safe::close_iteration`]
+/// turns it into the history entry, plan snapshot, and checkpoint.
+enum IterationEnd {
+    /// The funnel ran to completion; `converged` when the selection equals
+    /// the feature set the iteration started from.
+    Completed {
+        funnel: Funnel,
+        selected: Vec<String>,
+        converged: bool,
+    },
+    /// `stage` failed and the working feature set is kept. `funnel` holds
+    /// the counts the iteration reached, or `None` when it failed before
+    /// they were recorded (the report then counts only the carried set).
+    Degraded {
+        stage: &'static str,
+        reason: String,
+        funnel: Option<Funnel>,
+    },
+    /// The time budget was spent before the iteration began.
+    Skipped,
+}
+
+/// A stage failure that happened before the funnel counts were recorded.
+fn degraded(stage: &'static str, reason: String) -> IterationEnd {
+    IterationEnd::Degraded { stage, reason, funnel: None }
+}
+
+/// What one iteration hands to the next.
+struct LoopState {
+    /// The audited input schema every plan snapshot is assembled over.
+    original_names: Vec<String>,
+    /// The working feature set X (and its validation twin).
+    train: Dataset,
+    valid: Option<Dataset>,
+    /// Every generated feature ever defined, for transitive plan assembly.
+    catalog: BTreeMap<String, PlanStep>,
+    /// Cross-iteration caches (see `crate::cache`): binned columns for the
+    /// miner/ranker boosters, finalized IV/Pearson values for the selection
+    /// stages. Column names are stable provenance, so entries stay valid
+    /// for every column that survives an iteration, and results are
+    /// bit-identical to recomputation.
+    bin_cache: BinCache,
+    stats_cache: StatsCache,
+    history: Vec<IterationReport>,
+    plans: Vec<FeaturePlan>,
+}
+
+impl LoopState {
+    fn new(original_names: Vec<String>, train: Dataset, valid: Option<Dataset>) -> LoopState {
+        LoopState {
+            original_names,
+            train,
+            valid,
+            catalog: BTreeMap::new(),
+            bin_cache: BinCache::new(),
+            stats_cache: StatsCache::new(),
+            history: Vec::new(),
+            plans: Vec::new(),
         }
     }
 }
 
 /// Record the booster counters [`Gbm::fit_cached_observed`] already emitted
 /// through the sink into the stage's report entry (in the same order),
-/// without re-emitting them. The bin-cache counters exist only when the fit
-/// actually ran with a cache.
-fn absorb_gbm_stats(g: &mut StageGuard<'_, '_>, stats: &safe_gbm::GbmFitStats, cached: bool) {
+/// without re-emitting them.
+fn absorb_gbm_stats(g: &mut StageGuard<'_, '_>, stats: &safe_gbm::GbmFitStats) {
     g.absorb("gbm_rounds", stats.rounds_run);
     g.absorb("gbm_trees", stats.trees_kept);
     g.absorb("histogram_builds", stats.grow.histogram_builds);
@@ -1120,10 +1108,37 @@ fn absorb_gbm_stats(g: &mut StageGuard<'_, '_>, stats: &safe_gbm::GbmFitStats, c
     for (depth, &n) in stats.grow.nodes_per_depth.iter().enumerate() {
         g.absorb(&format!("nodes_depth{depth}"), n);
     }
-    if cached {
-        g.absorb("cache_bin_hits", stats.cache_bin_hits);
-        g.absorb("cache_bin_misses", stats.cache_bin_misses);
+    g.absorb("cache_bin_hits", stats.cache_bin_hits);
+    g.absorb("cache_bin_misses", stats.cache_bin_misses);
+}
+
+/// Chunked fits close with a run-level backend summary: chunk-cache
+/// traffic and the resident high-water mark against the configured budget.
+/// Cache traffic depends on worker interleaving, so every `oocore_*`
+/// counter — and the stage itself — is excluded from
+/// `RunReport::structural_eq` (a spilled run stays structurally equal to
+/// its resident twin).
+fn oocore_summary(train: &Dataset, rb: &mut ReportBuilder<'_>) {
+    let mut g = rb.stage(stages::OOCORE);
+    let stores = train.chunk_stores();
+    g.counter("oocore_stores", stores.len() as u64);
+    let (mut hits, mut loads, mut evictions, mut peak, mut budget, mut table) =
+        (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+    for store in stores {
+        let stats = store.stats();
+        hits += stats.hits;
+        loads += stats.loads;
+        evictions += stats.evictions;
+        peak += stats.peak_resident_bytes;
+        budget += store.budget_bytes().unwrap_or_else(|| store.table_bytes());
+        table += store.table_bytes();
     }
+    g.counter("oocore_chunk_hits", hits);
+    g.counter("oocore_chunk_loads", loads);
+    g.counter("oocore_evictions", evictions);
+    g.counter("oocore_peak_resident_bytes", peak);
+    g.counter("oocore_budget_bytes", budget);
+    g.counter("oocore_table_bytes", table);
 }
 
 /// Current feature names as owned strings.
@@ -1131,28 +1146,14 @@ fn feature_name_vec(ds: &Dataset) -> Vec<String> {
     ds.feature_names().iter().map(|s| s.to_string()).collect()
 }
 
-/// Report for an iteration whose funnel did not (fully) run: the generation
-/// counters are zero and the selection is the carried-over feature set.
-fn stub_report(
-    iteration: usize,
-    current: &Dataset,
-    selected: Vec<String>,
-    elapsed_us: u64,
-    status: IterationStatus,
-) -> IterationReport {
-    IterationReport {
-        iteration,
-        n_combinations: 0,
-        n_combinations_kept: 0,
-        n_generated: 0,
-        n_candidates: current.n_cols(),
-        n_after_iv: 0,
-        n_after_redundancy: 0,
-        n_selected: selected.len(),
-        selected,
-        elapsed_us,
-        status,
-    }
+/// The plan a run returns: the last iteration's snapshot, or the identity
+/// plan over the original schema when no iteration was recorded.
+fn final_plan(plans: &[FeaturePlan], original_names: &[String]) -> FeaturePlan {
+    plans.last().cloned().unwrap_or_else(|| FeaturePlan {
+        input_names: original_names.to_vec(),
+        steps: Vec::new(),
+        outputs: original_names.to_vec(),
+    })
 }
 
 /// Assemble a plan for the selected feature names: inputs are the original
@@ -1193,74 +1194,6 @@ fn build_plan(
         steps: ordered,
         outputs: selected.to_vec(),
     }
-}
-
-/// Persist a durable checkpoint after a closed iteration under a sink-only
-/// `checkpoint` span with `ckpt_bytes`/`ckpt_iterations` counters.
-///
-/// The span is deliberately NOT recorded in the `RunReport`: the report
-/// embedded in the snapshot must match the uninterrupted run's, and a
-/// resumed run replays no checkpoint spans for its first segment. For the
-/// same reason a failed save degrades *durability*, not training — the
-/// error surfaces as a sink warning and the loop carries on.
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint(
-    store: &CheckpointStore,
-    config: &SafeConfig,
-    history: &[IterationReport],
-    plans: &[FeaturePlan],
-    report: RunReport,
-    bin_cache: Option<&BinCache>,
-    stats_cache: Option<&StatsCache>,
-    terminal: Terminal,
-    elapsed_us: u64,
-    sink: &dyn EventSink,
-    iteration: usize,
-) {
-    let t0 = Instant::now();
-    sink.stage_start(stages::CHECKPOINT, Some(iteration));
-    let ckpt = Checkpoint {
-        fingerprint: ConfigFingerprint::of(config),
-        iterations_done: history.len(),
-        terminal,
-        elapsed_us,
-        history: history.to_vec(),
-        plans: plans.to_vec(),
-        report,
-        bin_keys: bin_cache.map(|c| c.keys()).unwrap_or_default(),
-        iv_entries: stats_cache.map(|c| c.iv_len()).unwrap_or(0),
-        pearson_entries: stats_cache.map(|c| c.pearson_len()).unwrap_or(0),
-    };
-    let save_t0 = Instant::now();
-    let saved = store.save(&ckpt);
-    let save_us = save_t0.elapsed().as_micros() as u64;
-    match saved {
-        Ok(bytes) => {
-            sink.counter(stages::CHECKPOINT, Some(iteration), "ckpt_bytes", bytes);
-            sink.counter(
-                stages::CHECKPOINT,
-                Some(iteration),
-                "ckpt_iterations",
-                ckpt.iterations_done as u64,
-            );
-            // Sink-only latency observation, same contract as the span:
-            // feeds the ckpt_write_us histogram, never the report.
-            sink.observe(stages::CHECKPOINT, Some(iteration), "ckpt_write_us", save_us);
-        }
-        Err(e) => {
-            sink.warn(
-                stages::CHECKPOINT,
-                Some(iteration),
-                "ckpt-save-failed",
-                &format!("checkpoint save failed (training continues): {e}"),
-            );
-        }
-    }
-    sink.stage_end(
-        stages::CHECKPOINT,
-        Some(iteration),
-        t0.elapsed().as_micros() as u64,
-    );
 }
 
 #[cfg(test)]
@@ -1514,6 +1447,12 @@ mod tests {
         let outcome = Safe::paper().fit(&train, None).unwrap(); // default: Warn
         assert!(outcome.audit.actions.is_empty());
         assert!(!outcome.audit.findings.is_empty(), "finding must be recorded");
+        // Every finding also surfaces as an `audit` warning in the report.
+        for finding in &outcome.audit.findings {
+            assert!(outcome.report.warnings.iter().any(|w| w.stage == "audit"
+                && w.code == finding.code()
+                && w.message == finding.to_string()));
+        }
         assert!(
             outcome.plan.input_names.iter().any(|n| n == "konst"),
             "warn policy leaves the schema untouched"

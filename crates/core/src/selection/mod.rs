@@ -1,10 +1,5 @@
 //! The three-step feature selection pipeline (Section IV-C).
 //!
-//! Each step has a `_cached` variant that reuses finalized IV / Pearson
-//! values (and binned booster columns) from the [`crate::cache`] module
-//! across iterations. Cached results are bit-identical to recomputation —
-//! the cache stores exactly the `f64` the cold path would produce.
-//!
 //! [`staged`] adds the successive-halving pruner behind
 //! [`crate::config::SelectionMode::Staged`]: candidates are whittled down
 //! on growing row subsamples before the exact steps run, and the
@@ -35,30 +30,14 @@ use crate::cache::StatsCache;
 ///
 /// Unlabeled data has no IV, so nothing can clear α: the result is empty
 /// (the caller treats an empty survivor set as "keep the current features
-/// and stop", never as a panic).
-pub fn iv_filter(train: &Dataset, alpha: f64, beta: usize) -> Vec<(usize, f64)> {
-    match iv_filter_par(train, alpha, beta, Parallelism::auto()) {
-        Ok(kept) => kept,
-        Err(p) => panic!("{p}"),
-    }
-}
-
-/// [`iv_filter`] with an explicit thread budget. A panic inside a worker
-/// (one poisoned column) is captured and surfaced as [`ParPanic`] so the
-/// caller can degrade the iteration instead of unwinding the whole run.
-pub fn iv_filter_par(
-    train: &Dataset,
-    alpha: f64,
-    beta: usize,
-    par: Parallelism,
-) -> Result<Vec<(usize, f64)>, ParPanic> {
-    iv_filter_cached(train, alpha, beta, par, None)
-}
-
-/// [`iv_filter_par`] with an optional [`StatsCache`]: columns whose IV is
-/// already cached (keyed by name + β) skip the computation; only the misses
-/// run through the parallel map, and their values are stored back. The kept
-/// set is bit-identical with and without a cache.
+/// and stop", never as a panic). A panic inside a worker (one poisoned
+/// column) is captured and surfaced as [`ParPanic`] so the caller can
+/// degrade the iteration instead of unwinding the whole run.
+///
+/// With a [`StatsCache`], columns whose IV is already cached (keyed by
+/// name + β) skip the computation; only the misses run through the
+/// parallel map, and their values are stored back. The kept set is
+/// bit-identical with and without a cache.
 pub fn iv_filter_cached(
     train: &Dataset,
     alpha: f64,
@@ -123,37 +102,16 @@ pub fn iv_filter_cached(
 /// greater than 0.8, the feature with the smaller IV of them will be
 /// removed".)
 ///
-/// Returns surviving column indices in descending-IV order. Pair
-/// correlations are computed in parallel per kept-candidate row.
-pub fn redundancy_filter(
-    train: &Dataset,
-    survivors: &[(usize, f64)],
-    theta: f64,
-) -> Vec<usize> {
-    match redundancy_filter_observed(train, survivors, theta, Parallelism::auto()) {
-        Ok((kept, _)) => kept,
-        Err(p) => panic!("{p}"),
-    }
-}
-
-/// [`redundancy_filter`] with an explicit thread budget, additionally
-/// reporting how many candidate/kept pairs were correlation-tested.
-/// Worker panics surface as [`ParPanic`].
-pub fn redundancy_filter_observed(
-    train: &Dataset,
-    survivors: &[(usize, f64)],
-    theta: f64,
-    par: Parallelism,
-) -> Result<(Vec<usize>, u64), ParPanic> {
-    redundancy_filter_cached(train, survivors, theta, par, None)
-}
-
-/// [`redundancy_filter_observed`] with an optional [`StatsCache`]: pair
-/// correlations already cached (keyed by the unordered column-name pair) are
-/// reused; only the missing pairs are computed (in parallel) and stored
-/// back. `pairs_compared` counts every pair examined, hit or miss, so the
-/// telemetry flow is identical with and without a cache — and so is the
-/// kept set, bitwise.
+/// Returns surviving column indices in descending-IV order, plus how many
+/// candidate/kept pairs were correlation-tested. Pair correlations are
+/// computed in parallel per kept-candidate row; worker panics surface as
+/// [`ParPanic`].
+///
+/// With a [`StatsCache`], pair correlations already cached (keyed by the
+/// unordered column-name pair) are reused; only the missing pairs are
+/// computed (in parallel) and stored back. `pairs_compared` counts every
+/// pair examined, hit or miss, so the telemetry flow is identical with and
+/// without a cache — and so is the kept set, bitwise.
 ///
 /// Since PR 9 the exact kernel is the per-column moment cache
 /// ([`ExactMoments`]): NaN-free pairs reduce to one centered dot product
@@ -188,7 +146,7 @@ pub fn redundancy_filter_cached(
     let mut kept: Vec<usize> = Vec::new();
     for &(candidate, _) in &order {
         // Out-of-range survivor indices cannot be kept (defensive: survivor
-        // lists always come from iv_filter over the same dataset).
+        // lists always come from `iv_filter_cached` over the same dataset).
         if candidate >= n_cols {
             continue;
         }
@@ -333,7 +291,7 @@ pub fn redundancy_filter_binned(
     theta: f64,
     max_bins: usize,
     par: Parallelism,
-    bin_cache: Option<&mut BinCache>,
+    bin_cache: &mut BinCache,
 ) -> Result<(Vec<usize>, u64), BinnedRedundancyError> {
     let mut order: Vec<(usize, f64)> = survivors.to_vec();
     order.sort_by(|a, b| {
@@ -343,10 +301,7 @@ pub fn redundancy_filter_binned(
     });
     let order_idx: Vec<usize> = order.iter().map(|&(i, _)| i).collect();
     let sub = train.select_columns(&order_idx)?;
-    let binned = match bin_cache {
-        Some(cache) => BinnedDataset::fit_cached(&sub, max_bins, par, cache),
-        None => BinnedDataset::fit(&sub, max_bins, par),
-    };
+    let binned = BinnedDataset::fit_cached(&sub, max_bins, par, bin_cache);
     // Materialize the survivor columns: resident columns are borrowed
     // zero-copy; chunked columns are gathered once into owned scratch (a
     // documented staged-mode residency caveat — this scan touches every
@@ -470,37 +425,14 @@ impl From<ParPanic> for BinnedRedundancyError {
 /// Section IV-C3: rank the surviving candidates by average split gain of a
 /// booster trained on exactly those columns, and keep at most `cap`.
 /// Features the booster never split on rank after used ones, in IV order
-/// (`fallback_order`). Returns column indices **into `train`**.
-pub fn rank_and_cap(
-    train: &Dataset,
-    valid: Option<&Dataset>,
-    survivors: &[usize],
-    ranker: &GbmConfig,
-    cap: usize,
-) -> Result<Vec<usize>, GbmError> {
-    rank_and_cap_observed(train, valid, survivors, ranker, cap, &safe_obs::NullSink, None)
-        .map(|(idx, _)| idx)
-}
-
-/// [`rank_and_cap`], additionally emitting the internal booster's training
-/// counters through `sink` under the `rank-topk` stage and returning them.
-pub fn rank_and_cap_observed(
-    train: &Dataset,
-    valid: Option<&Dataset>,
-    survivors: &[usize],
-    ranker: &GbmConfig,
-    cap: usize,
-    sink: &dyn safe_obs::EventSink,
-    iteration: Option<usize>,
-) -> Result<(Vec<usize>, safe_gbm::GbmFitStats), GbmError> {
-    rank_and_cap_cached(train, valid, survivors, ranker, cap, None, sink, iteration)
-}
-
-/// [`rank_and_cap_observed`] with an optional [`BinCache`] for the internal
-/// ranking booster. Column selection preserves names and values, so binned
-/// columns cached by the miner (or a previous iteration's ranker) are reused
-/// directly; the trained model — and therefore the returned ranking — is
-/// bit-identical with and without the cache.
+/// (`fallback_order`). Returns column indices **into `train`**, plus the
+/// internal booster's training counters, which are also emitted through
+/// `sink` under the `rank-topk` stage.
+///
+/// With a [`BinCache`], column selection preserves names and values, so
+/// binned columns cached by the miner (or a previous iteration's ranker)
+/// are reused directly; the trained model — and therefore the returned
+/// ranking — is bit-identical with and without the cache.
 #[allow(clippy::too_many_arguments)]
 pub fn rank_and_cap_cached(
     train: &Dataset,
@@ -515,10 +447,6 @@ pub fn rank_and_cap_cached(
     safe_data::failpoint!("select/rank", GbmError::Injected("select/rank"));
     if survivors.is_empty() {
         return Ok((Vec::new(), safe_gbm::GbmFitStats::default()));
-    }
-    if survivors.len() <= cap {
-        // Still rank for deterministic ordering, but nothing to cut.
-        // Fall through so the returned order is importance-based.
     }
     let sub_train = train.select_columns(survivors)?;
     let sub_valid = match valid {
@@ -549,6 +477,21 @@ pub fn rank_and_cap_cached(
 mod tests {
     use super::*;
 
+    fn iv_survivors(ds: &Dataset, alpha: f64, beta: usize) -> Vec<(usize, f64)> {
+        iv_filter_cached(ds, alpha, beta, Parallelism::auto(), None).unwrap()
+    }
+
+    fn non_redundant(ds: &Dataset, survivors: &[(usize, f64)], theta: f64) -> Vec<usize> {
+        redundancy_filter_cached(ds, survivors, theta, Parallelism::auto(), None).unwrap().0
+    }
+
+    fn top_ranked(ds: &Dataset, survivors: &[usize], cap: usize) -> Vec<usize> {
+        let sink = safe_obs::NullSink;
+        rank_and_cap_cached(ds, None, survivors, &GbmConfig::miner(), cap, None, &sink, None)
+            .unwrap()
+            .0
+    }
+
     /// Columns: strong signal, its near-copy, weak signal, pure noise.
     fn fixture(n: usize) -> Dataset {
         let labels: Vec<u8> = (0..n).map(|i| (i >= n / 2) as u8).collect();
@@ -569,7 +512,7 @@ mod tests {
     #[test]
     fn iv_filter_drops_noise_keeps_signal() {
         let ds = fixture(1000);
-        let kept = iv_filter(&ds, 0.1, 10);
+        let kept = iv_survivors(&ds, 0.1, 10);
         let indices: Vec<usize> = kept.iter().map(|&(i, _)| i).collect();
         assert!(indices.contains(&0), "strong signal survives");
         assert!(indices.contains(&1), "the copy also has high IV");
@@ -582,17 +525,17 @@ mod tests {
     #[test]
     fn iv_filter_respects_alpha() {
         let ds = fixture(1000);
-        let loose = iv_filter(&ds, 0.0, 10);
-        let strict = iv_filter(&ds, 50.0, 10);
-        assert!(loose.len() >= iv_filter(&ds, 0.1, 10).len());
+        let loose = iv_survivors(&ds, 0.0, 10);
+        let strict = iv_survivors(&ds, 50.0, 10);
+        assert!(loose.len() >= iv_survivors(&ds, 0.1, 10).len());
         assert!(strict.is_empty(), "nothing clears an absurd threshold");
     }
 
     #[test]
     fn redundancy_filter_keeps_one_of_each_pair() {
         let ds = fixture(1000);
-        let survivors = iv_filter(&ds, 0.1, 10);
-        let kept = redundancy_filter(&ds, &survivors, 0.8);
+        let survivors = iv_survivors(&ds, 0.1, 10);
+        let kept = non_redundant(&ds, &survivors, 0.8);
         // strong and copy are affinely related (ρ = 1): only one survives.
         let both = kept.contains(&0) && kept.contains(&1);
         assert!(!both, "perfectly correlated pair must lose a member: {kept:?}");
@@ -613,7 +556,7 @@ mod tests {
         )
         .unwrap();
         let survivors = vec![(0, 2.0), (1, 1.0)];
-        let kept = redundancy_filter(&ds, &survivors, 0.8);
+        let kept = non_redundant(&ds, &survivors, 0.8);
         assert_eq!(kept.len(), 2);
     }
 
@@ -622,7 +565,7 @@ mod tests {
         let ds = fixture(1000);
         // Force explicit IVs: column 1 higher than column 0.
         let survivors = vec![(0, 0.5), (1, 0.9)];
-        let kept = redundancy_filter(&ds, &survivors, 0.8);
+        let kept = non_redundant(&ds, &survivors, 0.8);
         assert_eq!(kept, vec![1], "higher-IV member of the pair wins");
     }
 
@@ -630,7 +573,7 @@ mod tests {
     fn rank_and_cap_puts_signal_first() {
         let ds = fixture(1000);
         let survivors = vec![0, 2, 3];
-        let ranked = rank_and_cap(&ds, None, &survivors, &GbmConfig::miner(), 2).unwrap();
+        let ranked = top_ranked(&ds, &survivors, 2);
         assert_eq!(ranked.len(), 2);
         assert_eq!(ranked[0], 0, "strong signal ranks first: {ranked:?}");
     }
@@ -638,7 +581,7 @@ mod tests {
     #[test]
     fn rank_and_cap_handles_empty() {
         let ds = fixture(100);
-        let ranked = rank_and_cap(&ds, None, &[], &GbmConfig::miner(), 5).unwrap();
+        let ranked = top_ranked(&ds, &[], 5);
         assert!(ranked.is_empty());
     }
 
@@ -646,7 +589,7 @@ mod tests {
     fn rank_and_cap_caps() {
         let ds = fixture(500);
         let survivors = vec![0, 1, 2, 3];
-        let ranked = rank_and_cap(&ds, None, &survivors, &GbmConfig::miner(), 3).unwrap();
+        let ranked = top_ranked(&ds, &survivors, 3);
         assert_eq!(ranked.len(), 3);
     }
 

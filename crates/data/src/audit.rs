@@ -503,29 +503,6 @@ pub fn enforce(ds: &Dataset, cfg: &AuditConfig) -> Result<(AuditReport, Option<D
     }
 }
 
-/// [`enforce`], additionally emitting every finding as a structured `warn`
-/// telemetry event on the `"audit"` stage (and every repair action as an
-/// `"audit-repair"`-coded warn). The enforcement result is unchanged;
-/// findings are emitted whether the policy accepts or rejects.
-pub fn enforce_observed(
-    ds: &Dataset,
-    cfg: &AuditConfig,
-    sink: &dyn safe_obs::EventSink,
-) -> Result<(AuditReport, Option<Dataset>), AuditError> {
-    let result = enforce(ds, cfg);
-    let report = match &result {
-        Ok((report, _)) => report,
-        Err(e) => &e.report,
-    };
-    for finding in &report.findings {
-        sink.warn("audit", None, finding.code(), &finding.to_string());
-    }
-    for action in &report.actions {
-        sink.warn("audit", None, "audit-repair", &action.to_string());
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn enforce_observed_emits_findings_as_warn_events() {
+    fn enforce_warn_policy_reports_findings_and_keeps_the_data() {
         let ds = labelled(
             vec![
                 ("sig", (0..10).map(|i| i as f64).collect()),
@@ -545,17 +522,13 @@ mod tests {
             ],
             vec![0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
         );
-        let sink = safe_obs::MemorySink::new();
-        let (report, _) = enforce_observed(&ds, &AuditConfig::default(), &sink).unwrap();
-        assert!(!report.findings.is_empty());
-        let events = sink.events();
-        assert_eq!(events.len(), report.findings.len());
-        for (e, f) in events.iter().zip(&report.findings) {
-            assert_eq!(e.kind, safe_obs::EventKind::Warn);
-            assert_eq!(e.stage, "audit");
-            assert_eq!(e.name, f.code());
-            assert_eq!(e.message, f.to_string());
-        }
+        let (report, repaired) = enforce(&ds, &AuditConfig::default()).unwrap();
+        assert!(repaired.is_none(), "warn policy never rewrites the data");
+        assert!(report.actions.is_empty());
+        assert!(report
+            .findings
+            .iter()
+            .any(|f| f.code() == "constant-column" && f.to_string().contains("konst")));
     }
 
     #[test]

@@ -10,12 +10,12 @@ use safe_obs::EventSink;
 use crate::binner::{BinCache, BinnedDataset};
 use crate::config::{GbmConfig, Objective};
 use crate::error::GbmError;
-use crate::grow::{grow_tree_observed, GrowStats};
+use crate::grow::{grow_tree, GrowStats};
 use crate::importance::{FeatureImportance, ImportanceKind};
 use crate::loss::{base_margin, grad_hess, transform};
 use crate::tree::{SplitPath, Tree};
 
-/// Telemetry from one training run, returned by [`Gbm::fit_observed`].
+/// Telemetry from one training run, returned by [`Gbm::fit_cached_observed`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GbmFitStats {
     /// Boosting rounds actually executed (≤ configured `n_rounds` under
@@ -24,7 +24,7 @@ pub struct GbmFitStats {
     /// Trees in the final model (after early-stopping truncation).
     pub trees_kept: u64,
     /// Binned columns reused from a [`BinCache`] supplied to
-    /// [`Gbm::fit_cached`] (0 when training uncached).
+    /// [`Gbm::fit_cached_observed`] (0 when training uncached).
     pub cache_bin_hits: u64,
     /// Columns quantized from raw values during this fit. Under a cache
     /// this counts only the newly seen columns; uncached it equals the
@@ -78,40 +78,18 @@ impl Gbm {
         self.fit_inner(train, valid, None, &mut stats)
     }
 
-    /// [`Gbm::fit`] reusing binned columns from `cache` across fits: columns
-    /// whose `(name, max_bins)` key is already cached skip quantization
-    /// entirely, and newly quantized columns are stored back for the next
-    /// fit. Results are bit-identical to an uncached [`Gbm::fit`].
-    pub fn fit_cached(
-        &self,
-        train: &Dataset,
-        valid: Option<&Dataset>,
-        cache: &mut BinCache,
-    ) -> Result<GbmModel, GbmError> {
-        let mut stats = GbmFitStats::default();
-        self.fit_inner(train, valid, Some(cache), &mut stats)
-    }
-
     /// [`Gbm::fit`], additionally emitting training counters through `sink`
     /// (attributed to `stage`/`iteration`) and returning them. Emitted
     /// counters: `gbm_rounds`, `gbm_trees`, `histogram_builds`,
     /// `histogram_subtractions`, `nodes_grown`, and `nodes_depth<d>` per
     /// tree level.
-    pub fn fit_observed(
-        &self,
-        train: &Dataset,
-        valid: Option<&Dataset>,
-        sink: &dyn EventSink,
-        stage: &str,
-        iteration: Option<usize>,
-    ) -> Result<(GbmModel, GbmFitStats), GbmError> {
-        self.fit_cached_observed(train, valid, None, sink, stage, iteration)
-    }
-
-    /// [`Gbm::fit_observed`] with an optional [`BinCache`]. When a cache is
-    /// supplied the additional counters `cache_bin_hits` /
-    /// `cache_bin_misses` record how many binned columns were reused versus
-    /// quantized fresh during this fit.
+    ///
+    /// With a [`BinCache`], columns whose `(name, max_bins)` key is already
+    /// cached skip quantization entirely, and newly quantized columns are
+    /// stored back for the next fit; the additional counters
+    /// `cache_bin_hits` / `cache_bin_misses` record how many binned columns
+    /// were reused versus quantized fresh. Results are bit-identical to an
+    /// uncached [`Gbm::fit`].
     pub fn fit_cached_observed(
         &self,
         train: &Dataset,
@@ -238,7 +216,7 @@ impl Gbm {
             // time can be recorded, then fold into the fit-wide stats.
             let mut round_grow = GrowStats::default();
             let tree =
-                grow_tree_observed(&binned, &grads, &hesss, rows, &features, &self.config, &mut round_grow);
+                grow_tree(&binned, &grads, &hesss, rows, &features, &self.config, &mut round_grow);
             stats.round_hist_us.push(round_grow.hist_build_us);
             stats.grow.merge(&round_grow);
             predict_tree_into(&tree, train, &mut margins)?;
@@ -426,7 +404,6 @@ impl GbmModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grow::grow_tree;
     use safe_stats::auc::auc;
 
     /// Linearly separable two-feature data with noise features.
@@ -534,7 +511,9 @@ mod tests {
                 grads[i] = g;
                 hesss[i] = h;
             }
-            let tree = grow_tree(&binned, &grads, &hesss, (0..300).collect(), &[0, 1, 2], &config);
+            let mut stats = GrowStats::default();
+            let rows = (0..300).collect();
+            let tree = grow_tree(&binned, &grads, &hesss, rows, &[0, 1, 2], &config, &mut stats);
             tree.predict_into(&cols, &mut margins);
             let loss = crate::loss::mean_loss(Objective::Squared, &margins, &labels);
             assert!(loss <= last + 1e-9, "loss rose: {last} -> {loss}");
@@ -543,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_cached_is_bit_identical_to_fit() {
+    fn fit_cached_observed_is_bit_identical_to_fit() {
         let train = toy(400, 12);
         let test = toy(150, 13);
         let config = GbmConfig {
@@ -556,9 +535,16 @@ mod tests {
         let cold = Gbm::new(config.clone()).fit(&train, None).unwrap();
         let mut cache = BinCache::new();
         // First cached fit populates the cache, second one hits it fully.
-        let warm1 = Gbm::new(config.clone()).fit_cached(&train, None, &mut cache).unwrap();
+        let sink = safe_obs::NullSink;
+        let fit = |cache: &mut BinCache| {
+            Gbm::new(config.clone())
+                .fit_cached_observed(&train, None, Some(cache), &sink, "gbm-train", None)
+                .unwrap()
+                .0
+        };
+        let warm1 = fit(&mut cache);
         assert_eq!(cache.misses(), 3);
-        let warm2 = Gbm::new(config).fit_cached(&train, None, &mut cache).unwrap();
+        let warm2 = fit(&mut cache);
         assert_eq!(cache.hits(), 3);
         let reference: Vec<u64> = cold.predict(&test).iter().map(|p| p.to_bits()).collect();
         for model in [&warm1, &warm2] {

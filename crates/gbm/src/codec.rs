@@ -87,9 +87,22 @@ impl GbmModel {
     }
 
     /// Parse the text codec. Validates the header version, node counts, and
-    /// child indices (every internal node must point inside its own arena).
+    /// child indices, so hostile input fails with a typed error instead of
+    /// aborting or hanging:
+    ///
+    /// - a `TREE` record may not declare more nodes than record lines
+    ///   remain, so the node arena is never sized from an unchecked count;
+    /// - every child index must lie inside its tree's arena and be greater
+    ///   than its parent's own index. The grower allocates a parent before
+    ///   its children, so every trained tree passes, and a tree that passes
+    ///   is acyclic: prediction walks strictly increasing indices and ends.
     pub fn from_text(text: &str) -> Result<GbmModel, GbmError> {
-        let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
+        let records: Vec<(usize, &str)> = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty())
+            .collect();
+        let mut lines = records.iter().copied();
         let (i, header) = lines.next().ok_or_else(|| parse_err(0, "empty model"))?;
         if header != "SAFEGBM\t1" {
             return Err(parse_err(i, "bad header (expected SAFEGBM v1)"));
@@ -102,7 +115,7 @@ impl GbmModel {
         // Nodes still owed to the TREE record currently being filled.
         let mut pending: usize = 0;
 
-        for (i, line) in lines {
+        for (k, (i, line)) in lines.enumerate() {
             let fields: Vec<&str> = line.split('\t').collect();
             match fields[0] {
                 "BASE" if fields.len() == 2 => base = Some(parse_hex(fields[1], i)?),
@@ -129,6 +142,14 @@ impl GbmModel {
                         .map_err(|_| parse_err(i, "bad node count"))?;
                     if pending == 0 {
                         return Err(parse_err(i, "TREE must have at least one node"));
+                    }
+                    // `k` counts the records after the header up to and
+                    // including this one.
+                    let remaining = records.len() - 2 - k;
+                    if pending > remaining {
+                        let msg =
+                            format!("TREE declares {pending} nodes but {remaining} records remain");
+                        return Err(parse_err(i, msg));
                     }
                     trees.push(Tree { nodes: Vec::with_capacity(pending) });
                 }
@@ -183,16 +204,23 @@ impl GbmModel {
         let objective = objective.ok_or_else(|| parse_err(0, "missing OBJECTIVE record"))?;
         let n_features = n_features.ok_or_else(|| parse_err(0, "missing NFEATURES record"))?;
 
-        // Structural audit: child indices must stay inside the arena and
-        // split features inside the declared schema, so a corrupted file is
-        // rejected here rather than panicking at predict time.
+        // Structural audit: child indices must point forward inside the
+        // arena and split features inside the declared schema, so a
+        // corrupted file is rejected here rather than panicking or looping
+        // at predict time.
         for (t, tree) in trees.iter().enumerate() {
-            for node in &tree.nodes {
+            for (idx, node) in tree.nodes.iter().enumerate() {
                 if let TreeNode::Internal { feature, left, right, .. } = node {
                     if *left >= tree.nodes.len() || *right >= tree.nodes.len() {
                         return Err(parse_err(
                             0,
                             format!("tree {t}: child index out of bounds"),
+                        ));
+                    }
+                    if *left <= idx || *right <= idx {
+                        return Err(parse_err(
+                            0,
+                            format!("tree {t}: node {idx} points back to node {}", left.min(right)),
                         ));
                     }
                     if *feature >= n_features {
@@ -350,5 +378,37 @@ mod tests {
                     TREE\t3\nI\t5\t0000000000000000\t1\t1\t2\t0000000000000000\n\
                     L\t0000000000000000\nL\t0000000000000000\n";
         assert!(GbmModel::from_text(text).is_err());
+    }
+
+    #[test]
+    fn child_pointing_back_is_rejected() {
+        // A node that is its own child would make prediction loop forever;
+        // so would a child that points back at an ancestor.
+        let head = "SAFEGBM\t1\nBASE\t0000000000000000\nOBJECTIVE\tlogistic\nNFEATURES\t1\n";
+        let zero = "0000000000000000";
+        for (left, right) in [(0, 2), (1, 0)] {
+            let text = format!(
+                "{head}TREE\t3\nI\t0\t{zero}\t1\t{left}\t{right}\t{zero}\nL\t{zero}\nL\t{zero}\n"
+            );
+            let err = GbmModel::from_text(&text).unwrap_err();
+            assert!(err.to_string().contains("points back"), "{err}");
+        }
+        let text = format!(
+            "{head}TREE\t5\nI\t0\t{zero}\t1\t1\t2\t{zero}\nI\t0\t{zero}\t1\t0\t3\t{zero}\n\
+             L\t{zero}\nL\t{zero}\nL\t{zero}\n"
+        );
+        assert!(GbmModel::from_text(&text).is_err(), "ancestor back-edge");
+    }
+
+    #[test]
+    fn huge_declared_node_count_is_rejected_before_allocating() {
+        let text = "SAFEGBM\t1\nBASE\t0000000000000000\nOBJECTIVE\tlogistic\nNFEATURES\t1\n\
+                    TREE\t999999999\nL\t0000000000000000\n";
+        let err = GbmModel::from_text(text).unwrap_err();
+        assert!(matches!(err, GbmError::Parse { line: 5, .. }), "{err:?}");
+        assert!(err.to_string().contains("records remain"), "{err}");
+        // Exactly as many records as declared still parses.
+        let ok = text.replace("999999999", "1");
+        assert_eq!(GbmModel::from_text(&ok).unwrap().n_trees(), 1);
     }
 }

@@ -69,22 +69,9 @@ type NodeHistograms = Vec<Option<Vec<HistBin>>>;
 /// `grads`/`hesss` are full-length per-row derivative vectors; `rows` selects
 /// the (possibly subsampled) training rows; `features` the (possibly
 /// column-subsampled) candidate split features. Leaf values are already
-/// multiplied by the learning rate.
+/// multiplied by the learning rate. Construction telemetry (histogram builds
+/// and subtractions, nodes created per depth) accumulates into `stats`.
 pub fn grow_tree(
-    binned: &BinnedDataset,
-    grads: &[f64],
-    hesss: &[f64],
-    rows: Vec<u32>,
-    features: &[usize],
-    config: &GbmConfig,
-) -> Tree {
-    let mut stats = GrowStats::default();
-    grow_tree_observed(binned, grads, hesss, rows, features, config, &mut stats)
-}
-
-/// [`grow_tree`], additionally accumulating construction telemetry into
-/// `stats` (histogram builds and subtractions, nodes created per depth).
-pub fn grow_tree_observed(
     binned: &BinnedDataset,
     grads: &[f64],
     hesss: &[f64],
@@ -365,6 +352,18 @@ mod tests {
             .unzip()
     }
 
+    fn grow(
+        binned: &BinnedDataset,
+        g: &[f64],
+        h: &[f64],
+        rows: Vec<u32>,
+        features: &[usize],
+        config: &GbmConfig,
+    ) -> Tree {
+        let mut stats = GrowStats::default();
+        grow_tree(binned, g, h, rows, features, config, &mut stats)
+    }
+
     #[test]
     fn grows_a_single_split_for_a_step_function() {
         let x: Vec<f64> = (0..100).map(|i| i as f64).collect();
@@ -372,7 +371,7 @@ mod tests {
         let binned = binned_of(vec![x]);
         let (g, h) = grads_for(&labels);
         let config = GbmConfig { max_depth: 3, ..GbmConfig::default() };
-        let tree = grow_tree(&binned, &g, &h, (0..100).collect(), &[0], &config);
+        let tree = grow(&binned, &g, &h, (0..100).collect(), &[0], &config);
         assert!(tree.depth() >= 1);
         // Predictions on both sides of the step must differ in sign.
         let lo = tree.predict_row(&[10.0]);
@@ -388,7 +387,7 @@ mod tests {
         let (g, h) = grads_for(&labels);
         for depth in 1..=4 {
             let config = GbmConfig { max_depth: depth, ..GbmConfig::default() };
-            let tree = grow_tree(&binned, &g, &h, (0..256).collect(), &[0], &config);
+            let tree = grow(&binned, &g, &h, (0..256).collect(), &[0], &config);
             assert!(tree.depth() <= depth, "depth {} > cap {depth}", tree.depth());
         }
     }
@@ -399,7 +398,7 @@ mod tests {
         let labels = vec![1u8; 50];
         let binned = binned_of(vec![x]);
         let (g, h) = grads_for(&labels);
-        let tree = grow_tree(&binned, &g, &h, (0..50).collect(), &[0], &GbmConfig::default());
+        let tree = grow(&binned, &g, &h, (0..50).collect(), &[0], &GbmConfig::default());
         assert_eq!(tree.n_leaves(), 1, "uniform gradients should not split");
     }
 
@@ -426,7 +425,7 @@ mod tests {
         let binned = binned_of(vec![a.clone(), b.clone()]);
         let (g, h) = grads_for(&labels);
         let config = GbmConfig { max_depth: 2, ..GbmConfig::default() };
-        let tree = grow_tree(&binned, &g, &h, (0..n as u32).collect(), &[0, 1], &config);
+        let tree = grow(&binned, &g, &h, (0..n as u32).collect(), &[0, 1], &config);
         // All four corners correctly signed.
         for (x, y) in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)] {
             let pred = tree.predict_row(&[x, y]);
@@ -444,7 +443,7 @@ mod tests {
         let labels: Vec<u8> = (0..100).map(|i| (i >= 50) as u8).collect();
         let binned = binned_of(vec![x, noise]);
         let (g, h) = grads_for(&labels);
-        let tree = grow_tree(&binned, &g, &h, (0..100).collect(), &[1], &GbmConfig::default());
+        let tree = grow(&binned, &g, &h, (0..100).collect(), &[1], &GbmConfig::default());
         for (f, _) in tree.split_gains() {
             assert_eq!(f, 1, "must only split on the offered feature");
         }
@@ -457,7 +456,7 @@ mod tests {
         let labels: Vec<u8> = (0..100).map(|i| (i >= 50) as u8).collect();
         let binned = binned_of(vec![x]);
         let (g, h) = grads_for(&labels);
-        let tree = grow_tree(&binned, &g, &h, (0..50).collect(), &[0], &GbmConfig::default());
+        let tree = grow(&binned, &g, &h, (0..50).collect(), &[0], &GbmConfig::default());
         assert_eq!(tree.n_leaves(), 1);
     }
 
@@ -474,7 +473,7 @@ mod tests {
             .collect();
         let binned = binned_of(vec![x]);
         let (g, h) = grads_for(&labels);
-        let tree = grow_tree(&binned, &g, &h, (0..n as u32).collect(), &[0], &GbmConfig::default());
+        let tree = grow(&binned, &g, &h, (0..n as u32).collect(), &[0], &GbmConfig::default());
         let on_missing = tree.predict_row(&[f64::NAN]);
         let on_present = tree.predict_row(&[4.0]);
         assert!(on_missing > 0.0, "missing → positive leaf, got {on_missing}");
@@ -488,7 +487,7 @@ mod tests {
         let binned = binned_of(vec![x]);
         let (g, h) = grads_for(&labels);
         let config = GbmConfig { gamma: 1e9, ..GbmConfig::default() };
-        let tree = grow_tree(&binned, &g, &h, (0..100).collect(), &[0], &config);
+        let tree = grow(&binned, &g, &h, (0..100).collect(), &[0], &config);
         assert_eq!(tree.n_leaves(), 1);
     }
 
@@ -505,7 +504,7 @@ mod tests {
         let config = GbmConfig { max_depth: 3, ..GbmConfig::default() };
         let mut stats = GrowStats::default();
         let tree =
-            grow_tree_observed(&binned, &g, &h, (0..200).collect(), &[0, 1], &config, &mut stats);
+            grow_tree(&binned, &g, &h, (0..200).collect(), &[0, 1], &config, &mut stats);
         assert!(tree.depth() >= 2, "need internal structure for this test");
         assert!(stats.histogram_subtractions > 0, "{stats:?}");
         assert!(stats.histogram_builds > 0, "{stats:?}");

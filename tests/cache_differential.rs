@@ -1,16 +1,23 @@
 //! Cached-vs-cold differential suite: the cross-iteration training caches
 //! (`safe::core::cache`) and the histogram-subtraction tree grower must be
-//! *bit-identical* to a from-scratch run. `SafeConfig::cache` only changes
-//! how repeated work is resolved — a bin-cache hit hands back the same
+//! *bit-identical* to a from-scratch run. The caches only change how
+//! repeated work is resolved — a bin-cache hit hands back the same
 //! quantization a fresh fit would compute, a stats-cache hit returns the
 //! same finalized `f64`, and histogram subtraction is performed by both
-//! paths — so toggling it must not move a single observable bit: not a
-//! plan byte, not a funnel count, not a downstream AUC. These tests pin
-//! that contract (see `DESIGN.md` §12).
+//! paths — so they must not move a single observable bit: not a plan byte,
+//! not a funnel count, not a downstream AUC. These tests pin that contract
+//! (see `DESIGN.md` §12).
+//!
+//! The cold arm is a resume: `Safe::fit_resumed` always starts with empty
+//! caches, so resuming from the first k snapshots of a checkpointed run
+//! recomputes every iteration after k from scratch, and must land on the
+//! run whose caches stayed warm throughout.
+
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
-use safe::core::{Safe, SafeConfig, SafeOutcome};
+use safe::core::{CheckpointStore, Safe, SafeConfig, SafeOutcome};
 use safe::data::split::train_test_split;
 use safe::data::Dataset;
 use safe::datagen::synth::{generate, SyntheticConfig};
@@ -21,6 +28,10 @@ use safe::stats::par::Parallelism;
 /// Thread budgets under test: the caches must be transparent in serial and
 /// parallel runs alike.
 const THREADS: [usize; 2] = [1, 4];
+
+/// Iterations per fit: enough for the cached run to reuse two iterations'
+/// worth of columns and statistics.
+const ITERATIONS: usize = 3;
 
 /// Interaction-heavy synthetic data: the shape SAFE's generation stage is
 /// built for, so the pipeline completes with a non-trivial funnel.
@@ -75,12 +86,24 @@ fn degenerate_dataset() -> Dataset {
     Dataset::from_columns(names, cols, base.labels().map(<[u8]>::to_vec)).unwrap()
 }
 
-fn fit_run(data: &Dataset, threads: usize, cache: bool) -> SafeOutcome {
-    let config =
-        SafeConfig { seed: 5, n_iterations: 2, cache, ..SafeConfig::paper() }.with_threads(threads);
-    Safe::new(config)
-        .fit(data, None)
-        .unwrap_or_else(|e| panic!("fit with threads={threads} cache={cache} failed: {e}"))
+fn config(threads: usize, dir: &Path) -> SafeConfig {
+    SafeConfig {
+        seed: 5,
+        n_iterations: ITERATIONS,
+        checkpoint_dir: Some(dir.to_path_buf()),
+        ..SafeConfig::paper()
+    }
+    .with_threads(threads)
+}
+
+/// Fresh per-scenario checkpoint directory under the system temp dir.
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join("safe_cache_diff")
+        .join(format!("{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 /// Per-iteration downstream AUC: apply each iteration's plan snapshot and
@@ -102,42 +125,51 @@ fn per_iteration_aucs(data: &Dataset, outcome: &SafeOutcome) -> Vec<u64> {
 
 /// The core differential assertion: at every thread budget, a cached run's
 /// observable outputs — plan bytes, per-iteration snapshots, funnel
-/// history, structural run report, and downstream AUC bits — match a cold
-/// (`cache: false`) run exactly.
+/// history, structural run report, and downstream AUC bits — match a run
+/// resumed with cold caches from each of its first k snapshots.
 fn assert_cache_differential(name: &str, data: &Dataset) {
     for &threads in &THREADS {
-        let cold = fit_run(data, threads, false);
-        let warm = fit_run(data, threads, true);
+        let warm_dir = temp_dir(&format!("{name}_t{threads}_warm"));
+        let warm = Safe::new(config(threads, &warm_dir))
+            .fit(data, None)
+            .unwrap_or_else(|e| panic!("{name}: fit with threads={threads} failed: {e}"));
         assert!(
-            !cold.plan.outputs.is_empty(),
-            "{name}: cold baseline selected nothing — dataset too weak to differentiate"
+            !warm.plan.outputs.is_empty(),
+            "{name}: cached run selected nothing — dataset too weak to differentiate"
         );
-        assert_eq!(
-            warm.plan.to_text(),
-            cold.plan.to_text(),
-            "{name}: plan differs with cache at threads={threads}"
-        );
-        assert_eq!(
-            warm.plans_per_iteration, cold.plans_per_iteration,
-            "{name}: per-iteration plans differ with cache at threads={threads}"
-        );
-        assert_eq!(warm.history.len(), cold.history.len(), "{name}: threads={threads}");
-        for (a, b) in warm.history.iter().zip(&cold.history) {
-            assert!(
-                a.structural_eq(b),
-                "{name}: iteration {} history differs with cache at threads={threads}:\n{a:?}\nvs\n{b:?}",
-                a.iteration
+        let warm_aucs = per_iteration_aucs(data, &warm);
+        let snapshots = CheckpointStore::new(warm_dir.clone());
+        for k in 1..=warm.history.len() {
+            let cold_dir = temp_dir(&format!("{name}_t{threads}_k{k}"));
+            let kept = CheckpointStore::new(cold_dir.clone());
+            for i in 1..=k {
+                std::fs::copy(snapshots.path_for(i), kept.path_for(i)).unwrap();
+            }
+            let cold = Safe::new(config(threads, &cold_dir))
+                .fit_resumed(data, None)
+                .unwrap_or_else(|e| panic!("{name}: resume from {k} at threads={threads}: {e}"));
+            let at = format!("{name}: resumed from snapshot {k} at threads={threads}");
+            assert_eq!(warm.plan.to_text(), cold.plan.to_text(), "{at}: plan differs");
+            assert_eq!(
+                warm.plans_per_iteration, cold.plans_per_iteration,
+                "{at}: per-iteration plans differ"
             );
+            assert_eq!(warm.history.len(), cold.history.len(), "{at}");
+            for (a, b) in warm.history.iter().zip(&cold.history) {
+                assert!(
+                    a.structural_eq(b),
+                    "{at}: iteration {} history differs:\n{a:?}\nvs\n{b:?}",
+                    a.iteration
+                );
+            }
+            assert!(
+                warm.report.structural_eq(&cold.report),
+                "{at}: run report differs structurally"
+            );
+            assert_eq!(warm_aucs, per_iteration_aucs(data, &cold), "{at}: AUC bits differ");
+            let _ = std::fs::remove_dir_all(&cold_dir);
         }
-        assert!(
-            warm.report.structural_eq(&cold.report),
-            "{name}: run report differs structurally with cache at threads={threads}"
-        );
-        assert_eq!(
-            per_iteration_aucs(data, &warm),
-            per_iteration_aucs(data, &cold),
-            "{name}: downstream AUC bits differ with cache at threads={threads}"
-        );
+        let _ = std::fs::remove_dir_all(&warm_dir);
     }
 }
 
@@ -158,13 +190,12 @@ fn degenerate_cached_runs_are_bit_identical_to_cold() {
 
 /// The cache must actually *work*, not just be transparent: by the second
 /// iteration the miner re-trains on columns that were already quantized, so
-/// its stage telemetry must record bin-cache hits — and a cold run must not
-/// emit cache counters at all.
+/// its stage telemetry must record bin-cache hits.
 #[test]
 fn warm_iterations_reuse_binned_columns() {
     let data = interaction_dataset();
-    let warm = fit_run(&data, 1, true);
-    let cold = fit_run(&data, 1, false);
+    let config = SafeConfig { seed: 5, n_iterations: 2, ..SafeConfig::paper() }.with_threads(1);
+    let warm = Safe::new(config).fit(&data, None).unwrap();
 
     let warm_train = warm.report.iterations[1]
         .stage("gbm-train")
@@ -180,23 +211,12 @@ fn warm_iterations_reuse_binned_columns() {
         "warm run re-binned every column: hits={hits} misses={misses}"
     );
 
-    let cold_train = cold.report.iterations[1].stage("gbm-train").unwrap();
-    assert_eq!(
-        cold_train.counter("cache_bin_hits"),
-        None,
-        "cold run must not emit cache counters"
-    );
-
     // The selection statistics cache participates too: the iv-filter stage
     // of a cached run records its hit/miss split.
     let warm_iv = warm.report.iterations[0].stage("iv-filter").unwrap();
     assert!(
         warm_iv.counter("cache_iv_misses").is_some(),
         "cached run records IV cache telemetry"
-    );
-    assert_eq!(
-        cold.report.iterations[0].stage("iv-filter").unwrap().counter("cache_iv_misses"),
-        None
     );
 }
 

@@ -8,6 +8,8 @@
 //! every downstream AUC. These tests pin that contract (see `DESIGN.md`,
 //! "Parallel execution & determinism contract").
 
+use std::sync::RwLock;
+
 use proptest::prelude::*;
 
 use safe::core::{Safe, SafeConfig, SafeOutcome};
@@ -20,6 +22,11 @@ use safe::stats::par::{par_map, try_par_map, Parallelism};
 /// Thread budgets under test: serial, even splits, and a prime that does
 /// not divide most item counts (exercises ragged chunk boundaries).
 const THREADS: [usize; 4] = [1, 2, 4, 7];
+
+/// The failpoint registry is process-global: fits share this lock for
+/// reading, and the test that arms a failpoint holds it for writing, so no
+/// differential fit ever runs while a fault is armed.
+static FITS: RwLock<()> = RwLock::new(());
 
 /// Interaction-heavy synthetic data: the shape SAFE's generation stage is
 /// built for, so the pipeline completes with a non-trivial funnel.
@@ -75,6 +82,7 @@ fn degenerate_dataset() -> Dataset {
 }
 
 fn fit_with_threads(data: &Dataset, threads: usize) -> SafeOutcome {
+    let _fits = FITS.read().unwrap_or_else(|e| e.into_inner());
     let config = SafeConfig { seed: 5, n_iterations: 2, ..SafeConfig::paper() }
         .with_threads(threads);
     Safe::new(config)
@@ -216,6 +224,7 @@ mod failpoint_differential {
 
     #[test]
     fn injected_worker_panic_degrades_instead_of_hanging() {
+        let _armed = FITS.write().unwrap_or_else(|e| e.into_inner());
         failpoints::disarm_all();
         failpoints::arm("select/iv-worker-panic");
         let data = interaction_dataset();
